@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from typing import Any
 
 from .evaluate import BenchmarkConfig, run_benchmark, write_histogram_csv
@@ -29,39 +30,27 @@ from .scenario import (
 
 ENV_THREADS = "AGENTPOSE_THREADS"
 
-_CONFIG_DEFAULTS: dict[str, Any] = {
-    "agents": 4,
-    "objects": 10,
-    "area": [120.0, 120.0],
-    "extent": [140.0, 140.0],
-    "min_object_gap": 5.0,
-    "scenes": 100,
-    "seed": None,
-    "ego": None,
-    "cluster_gap": 2.0,
-    "nms_iou": 0.15,
-    "ap_thresholds": [0.5, 0.7],
-    "noise": {"kind": "gaussian", "trans_scale": 0.6, "rot_scale": 0.6},
-    "noise_grid": [[0.0, 0.0], [0.2, 0.2], [0.4, 0.4], [0.6, 0.6]],
-    "detector": {
-        "detection_range": 150.0,
-        "miss_rate": 0.0,
-        "center_noise_sd": 0.2,
-        "heading_noise_sd": 0.05,
-        "variance_calibration": 1.0,
-        "base_confidence": 0.9,
-        "confidence_decay": 0.2,
-        "noise_scale_choices": None,
-    },
-    "solver": {
-        "max_iterations": 1000,
-        "initial_damping": 1e-4,
-        "damping_increase": 10.0,
-        "damping_decrease": 0.5,
-        "convergence_tol": 1e-9,
-        "gradient_tol": 1e-10,
-    },
-}
+# Config keys that name a BenchmarkConfig field differently, as "key" or "parent.key".
+_RENAMES = {"num_agents": "agents", "num_objects": "objects", "noise_kind": "noise.kind"}
+# Pose noise of `solve`; `benchmark` takes its noise levels from noise_grid.
+_SOLVE_NOISE = {"trans_scale": 0.6, "rot_scale": 0.6}
+
+
+def _slot(table: dict, name: str) -> tuple[dict, str]:
+    """The dict and key that hold BenchmarkConfig field `name` in a config table."""
+    *parent, key = _RENAMES.get(name, name).split(".")
+    return (table[parent[0]] if parent else table), key
+
+
+def config_defaults() -> dict:
+    """The config table with its defaults: the BenchmarkConfig fields under their
+    config keys, plus the keys only `solve` reads (ego and the noise scales)."""
+    table: dict[str, Any] = {"ego": None, "noise": dict(_SOLVE_NOISE)}
+    for name, value in json.loads(json.dumps(asdict(BenchmarkConfig(seed=0)))).items():
+        node, key = _slot(table, name)
+        node[key] = value
+    table["seed"] = None
+    return table
 
 
 class UsageError(Exception):
@@ -74,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _merge_config(path: str | None) -> dict:
-    config = json.loads(json.dumps(_CONFIG_DEFAULTS))
+    config = config_defaults()
     if path is None:
         return config
     try:
@@ -100,32 +89,11 @@ def _merge_config(path: str | None) -> dict:
     return config
 
 
-def _build_noise(cfg: dict) -> NoiseSpec:
+def _build(cls: type, cfg: dict, key: str) -> Any:
     try:
-        return NoiseSpec(
-            kind=cfg["noise"]["kind"],
-            trans_scale=float(cfg["noise"]["trans_scale"]),
-            rot_scale=float(cfg["noise"]["rot_scale"]),
-        )
+        return cls(**cfg[key])
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"config field 'noise': {exc}") from exc
-
-
-def _build_detector(cfg: dict) -> DetectorSpec:
-    det = dict(cfg["detector"])
-    if det.get("noise_scale_choices") is not None:
-        det["noise_scale_choices"] = tuple(det["noise_scale_choices"])
-    try:
-        return DetectorSpec(**det)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"config field 'detector': {exc}") from exc
-
-
-def _build_solver(cfg: dict) -> SolverParams:
-    try:
-        return SolverParams(**cfg["solver"])
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"config field 'solver': {exc}") from exc
+        raise UsageError(f"config field {key!r}: {exc}") from exc
 
 
 def _require_seed(cfg: dict, args: argparse.Namespace) -> int:
@@ -181,9 +149,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if all(a.agent_id != ego for a in scene.agents):
         raise UsageError(f"ego agent {ego!r} not present in scene")
     seed = args.seed if args.seed is not None else (cfg["seed"] if cfg["seed"] is not None else 0)
-    noise = _build_noise(cfg)
-    detector = _build_detector(cfg)
-    solver = _build_solver(cfg)
+    noise = _build(NoiseSpec, cfg, "noise")
+    detector = _build(DetectorSpec, cfg, "detector")
+    solver = _build(SolverParams, cfg, "solver")
 
     messages = make_messages(scene, noise, detector, int(seed))
     graph = build_pose_graph(messages, ego, center_gap=float(cfg["cluster_gap"]))
@@ -218,23 +186,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     cfg = _merge_config(args.config)
     seed = _require_seed(cfg, args)
+    kwargs = {}
+    for f in fields(BenchmarkConfig):
+        node, key = _slot(cfg, f.name)
+        kwargs[f.name] = node[key]
+    kwargs.update(
+        seed=seed, detector=_build(DetectorSpec, cfg, "detector"), solver=_build(SolverParams, cfg, "solver")
+    )
     try:
-        config = BenchmarkConfig(
-            seed=seed,
-            scenes=int(cfg["scenes"]),
-            num_agents=int(cfg["agents"]),
-            num_objects=int(cfg["objects"]),
-            area=tuple(cfg["area"]),
-            extent=tuple(cfg["extent"]),
-            min_object_gap=float(cfg["min_object_gap"]),
-            noise_kind=cfg["noise"]["kind"],
-            noise_grid=tuple(tuple(level) for level in cfg["noise_grid"]),
-            detector=_build_detector(cfg),
-            solver=_build_solver(cfg),
-            cluster_gap=float(cfg["cluster_gap"]),
-            nms_iou=float(cfg["nms_iou"]),
-            ap_thresholds=tuple(cfg["ap_thresholds"]),
-        )
+        config = BenchmarkConfig(**kwargs)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"invalid benchmark config: {exc}") from exc
 
@@ -267,7 +227,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     return 0 if result.status == "clean" else 2
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest() -> int:
     from .selftest import run_selftest
 
     results = run_selftest()
@@ -291,8 +251,6 @@ def _make_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--out", help="output path")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, help=f"worker processes (default ${ENV_THREADS} or 1)")
 
     p_gen = sub.add_parser("generate", help="write a synthetic scene JSON")
     common(p_gen)
@@ -302,8 +260,9 @@ def _make_parser() -> _Parser:
     p_solve.add_argument("--ego", help="ego agent id (default: first agent)")
     p_bench = sub.add_parser("benchmark", help="run the noise-grid benchmark")
     common(p_bench)
-    p_self = sub.add_parser("selftest", help="run oracle-based property checks")
-    common(p_self)
+    p_bench.add_argument("--format", choices=("json", "csv"), default="json")
+    p_bench.add_argument("--threads", type=int, help=f"worker processes (default ${ENV_THREADS} or 1)")
+    sub.add_parser("selftest", help="run oracle-based property checks")
     return parser
 
 
@@ -317,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_solve(args)
         if args.command == "benchmark":
             return _cmd_benchmark(args)
-        return _cmd_selftest(args)
+        return _cmd_selftest()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ import numpy as np
 
 from .geometry import OrientedBox2, Pose2, compose, inverse, rotated_iou_bev
 from .posegraph import (
+    DEFAULT_CLUSTER_GAP,
     AgentMessage,
     SolverParams,
     build_pose_graph,
@@ -35,6 +36,8 @@ from .scenario import (
     make_messages,
 )
 from .uncertainty import BoxDetection, transform_box
+
+DEFAULT_NMS_IOU = 0.15
 
 SERIES_BEFORE = "before"
 SERIES_AFTER_GRAPH = "after_graph"
@@ -59,7 +62,7 @@ def relative_pose_error(estimated: Pose2, truth: Pose2) -> tuple[float, float]:
 def late_fuse(
     messages: Sequence[AgentMessage],
     rel_poses: Mapping[str, Pose2],
-    nms_iou: float = 0.15,
+    nms_iou: float = DEFAULT_NMS_IOU,
 ) -> list[BoxDetection]:
     """Warp every agent's boxes into the ego frame and apply confidence NMS.
 
@@ -164,11 +167,16 @@ class BenchmarkConfig:
     noise_grid: tuple[tuple[float, float], ...] = ((0.0, 0.0), (0.2, 0.2), (0.4, 0.4), (0.6, 0.6))
     detector: DetectorSpec = field(default_factory=DetectorSpec)
     solver: SolverParams = field(default_factory=SolverParams)
-    cluster_gap: float = 2.0
-    nms_iou: float = 0.15
+    cluster_gap: float = DEFAULT_CLUSTER_GAP
+    nms_iou: float = DEFAULT_NMS_IOU
     ap_thresholds: tuple[float, ...] = (0.5, 0.7)
 
     def __post_init__(self) -> None:
+        for name, cast in (
+            ("scenes", int), ("num_agents", int), ("num_objects", int),
+            ("min_object_gap", float), ("cluster_gap", float), ("nms_iou", float),
+        ):
+            object.__setattr__(self, name, cast(getattr(self, name)))
         if self.scenes < 1:
             raise ValueError("scenes must be >= 1")
         object.__setattr__(self, "area", (float(self.area[0]), float(self.area[1])))

@@ -1,6 +1,7 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles used by the test suite and `agentpose selftest`.
 
-These deliberately avoid the library's own code paths: pose algebra goes
+These deliberately avoid the library's own code paths (this module imports
+nothing from the package, and no pipeline module imports it): pose algebra goes
 through explicit 3x3 homogeneous matrices, IoU through Monte-Carlo area
 estimation or axis-aligned interval arithmetic, Bessel functions through
 exact rational power series, AP through direct cut-point enumeration, and

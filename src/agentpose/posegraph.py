@@ -110,25 +110,12 @@ class SolveResult:
     objective_trace: tuple[float, ...]
 
 
-def cluster_boxes(
-    global_boxes: Sequence[tuple[str, BoxDetection]],
-    center_gap: float = DEFAULT_CLUSTER_GAP,
-) -> list[list[int]]:
-    """Group boxes (given in a common global frame) into object clusters.
+def _components(xs: np.ndarray, ys: np.ndarray, gap2: float) -> list[list[int]]:
+    """Connected components of the points linked by squared distance below gap2.
 
-    Clusters are connected components of the graph linking boxes whose BEV
-    center distance is below center_gap. A component never keeps two boxes of
-    the same agent: only the highest-confidence one stays (ties to the lowest
-    index), the rest are split off as singleton clusters. Clusters are ordered
-    by smallest member index, members ascending.
+    Components are ordered by smallest member, members ascending.
     """
-    if center_gap <= 0.0:
-        raise ValueError(f"center_gap must be positive, got {center_gap!r}")
-    n = len(global_boxes)
-    if n == 0:
-        return []
-    xs = np.array([b.cx for _, b in global_boxes])
-    ys = np.array([b.cy for _, b in global_boxes])
+    n = len(xs)
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -137,7 +124,6 @@ def cluster_boxes(
             i = parent[i]
         return i
 
-    gap2 = center_gap * center_gap
     for i in range(n):
         d2 = (xs[i + 1 :] - xs[i]) ** 2 + (ys[i + 1 :] - ys[i]) ** 2
         for j in np.nonzero(d2 < gap2)[0]:
@@ -148,9 +134,34 @@ def cluster_boxes(
     components: dict[int, list[int]] = {}
     for i in range(n):
         components.setdefault(find(i), []).append(i)
+    return list(components.values())
+
+
+def cluster_boxes(
+    global_boxes: Sequence[tuple[str, BoxDetection]],
+    center_gap: float = DEFAULT_CLUSTER_GAP,
+) -> list[list[int]]:
+    """Group boxes (given in a common global frame) into object clusters.
+
+    Clusters start as connected components of the graph linking boxes whose
+    BEV center distance is below center_gap. A component never keeps two boxes
+    of the same agent: only the highest-confidence one stays (ties to the
+    lowest index), the rest are split off as singleton clusters. Dropping a
+    box can disconnect the boxes kept, so a component that lost one is split
+    again into the connected components of its kept boxes. Every cluster is
+    therefore connected under center_gap and holds at most one box per agent.
+    Clusters are ordered by smallest member index, members ascending.
+    """
+    if center_gap <= 0.0:
+        raise ValueError(f"center_gap must be positive, got {center_gap!r}")
+    if not global_boxes:
+        return []
+    xs = np.array([b.cx for _, b in global_boxes])
+    ys = np.array([b.cy for _, b in global_boxes])
+    gap2 = center_gap * center_gap
 
     clusters: list[list[int]] = []
-    for members in components.values():
+    for members in _components(xs, ys, gap2):
         by_agent: dict[str, list[int]] = {}
         for i in members:
             by_agent.setdefault(global_boxes[i][0], []).append(i)
@@ -159,7 +170,11 @@ def cluster_boxes(
             best = max(indices, key=lambda i: (global_boxes[i][1].confidence, -i))
             kept.append(best)
             clusters.extend([i] for i in indices if i != best)
-        clusters.append(sorted(kept))
+        kept.sort()
+        if len(kept) == len(members):
+            clusters.append(kept)
+        else:
+            clusters.extend([kept[k] for k in part] for part in _components(xs[kept], ys[kept], gap2))
     clusters.sort(key=lambda c: c[0])
     return clusters
 

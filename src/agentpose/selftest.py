@@ -1,8 +1,8 @@
 """Oracle-based self checks runnable from the CLI.
 
-Each check re-derives expected behavior through an independent route (matrix
-algebra, Monte-Carlo areas, finite differences, brute-force enumeration) and
-compares it against the library implementation.
+Each check re-derives expected behavior through an independent route (the
+matrix, Monte-Carlo, enumeration and closure oracles in `agentpose.oracles`,
+or finite differences) and compares it against the library implementation.
 """
 
 from __future__ import annotations
@@ -13,89 +13,72 @@ import numpy as np
 
 from .evaluate import average_precision, relative_pose_error
 from .geometry import OrientedBox2, Pose2, compose, consistency_error, inverse, normalize_angle, rotated_iou_bev
+from .oracles import ap_bruteforce, closure_clusters, compose_oracle, inverse_oracle, mc_iou
 from .posegraph import build_pose_graph, cluster_boxes, optimize
 from .scenario import DetectorSpec, NoiseSpec, generate_scene, make_messages
 from .uncertainty import BoxDetection, gaussian_center_loss, von_mises_angle_loss
 
 
-def _mat(p: Pose2) -> np.ndarray:
-    c, s = math.cos(p.theta), math.sin(p.theta)
-    return np.array([[c, -s, p.x], [s, c, p.y], [0.0, 0.0, 1.0]])
+def _random_pose(rng, span: float) -> Pose2:
+    return Pose2(*rng.uniform(-span, span, 2), rng.uniform(-math.pi, math.pi))
 
 
-def _pose_of(m: np.ndarray) -> tuple[float, float, float]:
-    return (m[0, 2], m[1, 2], math.atan2(m[1, 0], m[0, 0]))
-
-
-def _angle_diff(a: float, b: float) -> float:
-    return abs(normalize_angle(a - b))
+def _pose_gap(got: Pose2, want: tuple[float, float, float]) -> float:
+    return max(abs(got.x - want[0]), abs(got.y - want[1]), abs(normalize_angle(got.theta - want[2])))
 
 
 def _check_pose_algebra(rng) -> tuple[str, bool, str]:
     worst = 0.0
     for _ in range(300):
-        a = Pose2(*rng.uniform(-50, 50, 2), rng.uniform(-math.pi, math.pi))
-        b = Pose2(*rng.uniform(-50, 50, 2), rng.uniform(-math.pi, math.pi))
-        got = compose(a, b)
-        ex, ey, et = _pose_of(_mat(a) @ _mat(b))
-        worst = max(worst, abs(got.x - ex), abs(got.y - ey), _angle_diff(got.theta, et))
-        gi = inverse(a)
-        ix, iy, it = _pose_of(np.linalg.inv(_mat(a)))
-        worst = max(worst, abs(gi.x - ix), abs(gi.y - iy), _angle_diff(gi.theta, it))
+        a = _random_pose(rng, 50)
+        b = _random_pose(rng, 50)
+        worst = max(
+            worst,
+            _pose_gap(compose(a, b), compose_oracle(a.as_tuple(), b.as_tuple())),
+            _pose_gap(inverse(a), inverse_oracle(a.as_tuple())),
+        )
     return ("pose algebra vs homogeneous matrices", worst < 1e-9, f"max err {worst:.2e}")
 
 
 def _check_consistency(rng) -> tuple[str, bool, str]:
     worst = 0.0
     for _ in range(200):
-        xi = Pose2(*rng.uniform(-20, 20, 2), rng.uniform(-math.pi, math.pi))
-        z = Pose2(*rng.uniform(-20, 20, 2), rng.uniform(-math.pi, math.pi))
-        e = consistency_error(z, xi, compose(xi, z))
-        worst = max(worst, float(np.max(np.abs(e))))
+        xi = _random_pose(rng, 20)
+        z = _random_pose(rng, 20)
+        chi = Pose2(*compose_oracle(xi.as_tuple(), z.as_tuple()))
+        worst = max(worst, float(np.max(np.abs(consistency_error(z, xi, chi)))))
     return ("consistency error zero on consistent triples", worst < 1e-10, f"max err {worst:.2e}")
-
-
-def _mc_iou(a: OrientedBox2, b: OrientedBox2, rng, n: int = 100_000) -> float:
-    corners = np.array(a.corners() + b.corners())
-    lo = corners.min(axis=0)
-    hi = corners.max(axis=0)
-    pts = rng.uniform(lo, hi, size=(n, 2))
-
-    def inside(box: OrientedBox2) -> np.ndarray:
-        dx = pts[:, 0] - box.cx
-        dy = pts[:, 1] - box.cy
-        c, s = math.cos(box.heading), math.sin(box.heading)
-        lx = c * dx + s * dy
-        ly = -s * dx + c * dy
-        return (np.abs(lx) <= box.length / 2) & (np.abs(ly) <= box.width / 2)
-
-    in_a = inside(a)
-    in_b = inside(b)
-    union = np.count_nonzero(in_a | in_b)
-    if union == 0:
-        return 0.0
-    return np.count_nonzero(in_a & in_b) / union
 
 
 def _check_iou(rng) -> tuple[str, bool, str]:
     worst = 0.0
     for _ in range(20):
-        a = OrientedBox2(*rng.uniform(-3, 3, 2), rng.uniform(2, 6), rng.uniform(1, 3), rng.uniform(-math.pi, math.pi))
-        b = OrientedBox2(*rng.uniform(-3, 3, 2), rng.uniform(2, 6), rng.uniform(1, 3), rng.uniform(-math.pi, math.pi))
-        worst = max(worst, abs(rotated_iou_bev(a, b) - _mc_iou(a, b, rng)))
+        a, b = (
+            (*rng.uniform(-3, 3, 2), rng.uniform(2, 6), rng.uniform(1, 3), rng.uniform(-math.pi, math.pi))
+            for _ in range(2)
+        )
+        got = rotated_iou_bev(OrientedBox2(*a), OrientedBox2(*b))
+        worst = max(worst, abs(got - mc_iou(a, b, 100_000, rng)))
     return ("rotated IoU vs Monte-Carlo areas", worst < 2e-2, f"max err {worst:.3f}")
 
 
+def _central(f, x: float, h: float = 1e-6) -> float:
+    return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def _rel_err(got: float, want: float) -> float:
+    return abs(got - want) / max(1.0, abs(got))
+
+
 def _check_gradients(rng) -> tuple[str, bool, str]:
-    h = 1e-6
     worst = 0.0
     for _ in range(200):
         x_hat, x0 = rng.uniform(-5, 5, 2)
         var = rng.uniform(0.1, 5.0)
         _, (gx, gv) = gaussian_center_loss(x_hat, var, x0)
-        fdx = (gaussian_center_loss(x_hat + h, var, x0)[0] - gaussian_center_loss(x_hat - h, var, x0)[0]) / (2 * h)
-        fdv = (gaussian_center_loss(x_hat, var + h, x0)[0] - gaussian_center_loss(x_hat, var - h, x0)[0]) / (2 * h)
-        worst = max(worst, abs(gx - fdx) / max(1.0, abs(gx)), abs(gv - fdv) / max(1.0, abs(gv)))
+        fdx = _central(lambda v: gaussian_center_loss(v, var, x0)[0], x_hat)
+        fdv = _central(lambda v: gaussian_center_loss(x_hat, v, x0)[0], var)
+        worst = max(worst, _rel_err(gx, fdx), _rel_err(gv, fdv))
     for absolute in (True, False):
         for _ in range(200):
             theta_hat, theta0 = rng.uniform(-math.pi, math.pi, 2)
@@ -103,109 +86,51 @@ def _check_gradients(rng) -> tuple[str, bool, str]:
                 continue  # kink of the absolute-cosine variant
             s = rng.uniform(-3, 3)
             _, (gt, gs) = von_mises_angle_loss(theta_hat, s, theta0, absolute_cosine=absolute)
-            fdt = (
-                von_mises_angle_loss(theta_hat + h, s, theta0, absolute_cosine=absolute)[0]
-                - von_mises_angle_loss(theta_hat - h, s, theta0, absolute_cosine=absolute)[0]
-            ) / (2 * h)
-            fds = (
-                von_mises_angle_loss(theta_hat, s + h, theta0, absolute_cosine=absolute)[0]
-                - von_mises_angle_loss(theta_hat, s - h, theta0, absolute_cosine=absolute)[0]
-            ) / (2 * h)
-            worst = max(worst, abs(gt - fdt) / max(1.0, abs(gt)), abs(gs - fds) / max(1.0, abs(gs)))
+            fdt = _central(lambda v: von_mises_angle_loss(v, s, theta0, absolute_cosine=absolute)[0], theta_hat)
+            fds = _central(lambda v: von_mises_angle_loss(theta_hat, v, theta0, absolute_cosine=absolute)[0], s)
+            worst = max(worst, _rel_err(gt, fdt), _rel_err(gs, fds))
     return ("loss gradients vs central differences", worst < 1e-5, f"max rel err {worst:.2e}")
 
 
-def _ap_bruteforce(dets: list[tuple[OrientedBox2, float]], gts: list[OrientedBox2], thr: float) -> float:
-    # Direct enumeration over confidence cut points on independently matched labels.
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
-    taken = [False] * len(gts)
-    labels = []
-    for i in order:
-        cand = None
-        best = 0.0
-        for j, gt in enumerate(gts):
-            if taken[j]:
-                continue
-            # Axis-aligned overlap formula (boxes constructed with zero heading).
-            a, b = dets[i][0], gt
-            ix = max(0.0, min(a.cx + a.length / 2, b.cx + b.length / 2) - max(a.cx - a.length / 2, b.cx - b.length / 2))
-            iy = max(0.0, min(a.cy + a.width / 2, b.cy + b.width / 2) - max(a.cy - a.width / 2, b.cy - b.width / 2))
-            inter = ix * iy
-            iou = inter / (a.length * a.width + b.length * b.width - inter) if inter > 0 else 0.0
-            if iou > best:
-                best = iou
-                cand = j
-        if cand is not None and best >= thr:
-            taken[cand] = True
-            labels.append(True)
-        else:
-            labels.append(False)
-    if not gts:
-        return 1.0 if not dets else 0.0
-    if not labels:
-        return 0.0
-    precisions, recalls = [], []
-    for k in range(1, len(labels) + 1):
-        tp = sum(labels[:k])
-        precisions.append(tp / k)
-        recalls.append(tp / len(gts))
-    env = precisions[:]
-    for k in range(len(env) - 2, -1, -1):
-        env[k] = max(env[k], env[k + 1])
-    ap = 0.0
-    prev = 0.0
-    for k in range(len(env)):
-        ap += (recalls[k] - prev) * env[k]
-        prev = recalls[k]
-    return ap
-
-
 def _check_ap(rng) -> tuple[str, bool, str]:
+    name = "average precision vs brute-force enumeration"
     for case in range(50):
         n_gt = int(rng.integers(0, 5))
         n_det = int(rng.integers(0, 7))
-        gts = [OrientedBox2(rng.uniform(-10, 10), rng.uniform(-10, 10), 4.0, 2.0, 0.0) for _ in range(n_gt)]
+        # Axis-aligned (cx, cy, length, width) boxes, which the oracle scores by interval overlap.
+        gts = [(rng.uniform(-10, 10), rng.uniform(-10, 10), 4.0, 2.0) for _ in range(n_gt)]
         dets = [
-            (OrientedBox2(rng.uniform(-10, 10), rng.uniform(-10, 10), 4.0, 2.0, 0.0), float(rng.uniform(0.1, 1.0)))
+            ((rng.uniform(-10, 10), rng.uniform(-10, 10), 4.0, 2.0), float(rng.uniform(0.1, 1.0)))
             for _ in range(n_det)
         ]
-        got = average_precision(dets, gts, 0.5)
-        want = _ap_bruteforce(dets, gts, 0.5)
+        got = average_precision(
+            [(OrientedBox2(*box, 0.0), conf) for box, conf in dets], [OrientedBox2(*gt, 0.0) for gt in gts], 0.5
+        )
+        want = ap_bruteforce(dets, gts, 0.5)
         if got != want:
-            return ("average precision vs brute-force enumeration", False, f"case {case}: {got} != {want}")
-    return ("average precision vs brute-force enumeration", True, "50 cases exact")
+            return (name, False, f"case {case}: {got} != {want}")
+    return (name, True, "50 cases exact")
 
 
 def _check_clustering(rng) -> tuple[str, bool, str]:
+    name = "clustering vs transitive closure"
     for case in range(100):
         n = int(rng.integers(0, 11))
-        boxes = []
-        for i in range(n):
-            boxes.append(
-                (
-                    f"a{i}",
-                    BoxDetection(
-                        cx=float(rng.uniform(-8, 8)), cy=float(rng.uniform(-8, 8)), cz=0.0,
-                        length=4.0, width=2.0, height=1.5, theta=0.0,
-                        var_x=0.1, var_y=0.1, var_theta=0.1, confidence=0.5, agent_id=f"a{i}",
-                    ),
-                )
+        centers = [(float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8))) for _ in range(n)]
+        boxes = [
+            (
+                f"a{i}",
+                BoxDetection(
+                    cx=cx, cy=cy, cz=0.0, length=4.0, width=2.0, height=1.5, theta=0.0,
+                    var_x=0.1, var_y=0.1, var_theta=0.1, confidence=0.5, agent_id=f"a{i}",
+                ),
             )
-        got = cluster_boxes(boxes, center_gap=2.0)
-        # Reachability closure oracle on the proximity matrix.
-        adj = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            adj[i, i] = True
-            for j in range(n):
-                d = math.hypot(boxes[i][1].cx - boxes[j][1].cx, boxes[i][1].cy - boxes[j][1].cy)
-                if d < 2.0:
-                    adj[i, j] = True
-        for _ in range(n):
-            adj = adj | (adj @ adj)
-        want = sorted({tuple(sorted(np.nonzero(adj[i])[0].tolist())) for i in range(n)})
-        if sorted(tuple(c) for c in got) != want:
-            return ("clustering vs transitive closure", False, f"case {case} mismatch")
-    return ("clustering vs transitive closure", True, "100 cases exact")
+            for i, (cx, cy) in enumerate(centers)
+        ]
+        got = sorted(tuple(c) for c in cluster_boxes(boxes, center_gap=2.0))
+        if got != closure_clusters(centers, 2.0):
+            return (name, False, f"case {case} mismatch")
+    return (name, True, "100 cases exact")
 
 
 def _check_zero_noise() -> tuple[str, bool, str]:

@@ -7,10 +7,9 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from agentpose.geometry import Pose2, compose, inverse
+from agentpose.oracles import graph_residual_oracle
 from agentpose.posegraph import GraphEdge, PoseGraph
 from agentpose.uncertainty import InfoMatrix3
-
-from oracles import graph_residual_oracle
 
 
 def random_noisy_graph(rng) -> PoseGraph:

@@ -13,12 +13,12 @@ import pytest
 
 from agentpose.evaluate import BenchmarkConfig, average_precision, run_benchmark
 from agentpose.geometry import OrientedBox2, normalize_angle, rotated_iou_bev
+from agentpose.oracles import ap_bruteforce, closure_clusters, mc_iou
 from agentpose.posegraph import _Problem, build_pose_graph, cluster_boxes, optimize, relative_poses
 from agentpose.scenario import DetectorSpec, NoiseSpec, generate_scene, make_messages, save_json
 from agentpose.uncertainty import BoxDetection, gaussian_center_loss, von_mises_angle_loss
 
 from helpers import independent_solver_objective, random_noisy_graph
-from oracles import ap_bruteforce, closure_clusters, mc_iou
 
 MASTER_SEED = 20230601
 

@@ -1,9 +1,14 @@
 """CLI tests: exit-code contract, file round-trips, and equality with direct
 library calls."""
 
+import ast
 import json
+from pathlib import Path
 
-from agentpose.cli import main
+import pytest
+
+import agentpose
+from agentpose.cli import config_defaults, main
 from agentpose.geometry import compose, inverse, normalize_angle
 from agentpose.posegraph import build_pose_graph, optimize, relative_poses
 from agentpose.scenario import (
@@ -203,3 +208,49 @@ class TestSelftestAndUsage:
 
     def test_unknown_flag_usage_error(self):
         assert main(["generate", "--bogus"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--scene", "{scene}", "--seed", "0", "--threads", "2"],
+            ["generate", "--seed", "1", "--out", "{out}", "--format", "csv"],
+            ["selftest", "--seed", "1"],
+        ],
+    )
+    def test_flag_of_another_subcommand_usage_error(self, tmp_path, capsys, argv):
+        _, scene = run_generate(tmp_path)
+        out = tmp_path / "out.json"
+        assert main([a.format(scene=scene, out=out) for a in argv]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_config_block_equals_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("Config keys and their defaults", 1)[1]
+        block = section.split("```json", 1)[1].split("```", 1)[0]
+        assert json.dumps(json.loads(block), sort_keys=True) == json.dumps(config_defaults(), sort_keys=True)
+
+
+def imported_names(module: str) -> set[str]:
+    """Dotted names a package module imports; relative imports keep their leading dots."""
+    tree = ast.parse((Path(agentpose.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+class TestOracleIndependence:
+    def test_oracles_import_nothing_from_the_package(self):
+        names = imported_names("oracles")
+        assert not [n for n in names if n.startswith(".") or n.split(".")[0] == "agentpose"]
+
+    @pytest.mark.parametrize("module", ["__init__", "geometry", "uncertainty", "posegraph", "scenario", "evaluate"])
+    def test_pipeline_does_not_import_checks(self, module):
+        parts = {part for name in imported_names(module) for part in name.split(".")}
+        assert not parts & {"oracles", "selftest"}

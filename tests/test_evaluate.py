@@ -16,11 +16,10 @@ from agentpose.evaluate import (
     run_benchmark,
 )
 from agentpose.geometry import OrientedBox2, Pose2
+from agentpose.oracles import ap_bruteforce
 from agentpose.posegraph import AgentMessage
 from agentpose.scenario import DetectorSpec
 from agentpose.uncertainty import BoxDetection
-
-from oracles import ap_bruteforce
 
 
 def make_box(cx, cy, theta=0.0, confidence=0.8, agent_id="a", length=4.0, width=2.0):

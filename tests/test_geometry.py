@@ -16,8 +16,7 @@ from agentpose.geometry import (
     rotated_iou_bev,
     wrap_angles,
 )
-
-from oracles import compose_oracle, inverse_oracle, mc_iou
+from agentpose.oracles import compose_oracle, inverse_oracle, mc_iou
 
 
 def random_pose(rng, span=50.0) -> Pose2:

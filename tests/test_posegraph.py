@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from agentpose.geometry import Pose2, compose, inverse, normalize_angle
+from agentpose.oracles import closure_clusters, graph_residual_oracle
 from agentpose.posegraph import (
     AgentMessage,
     GraphEdge,
@@ -25,7 +26,6 @@ from agentpose.posegraph import (
 from agentpose.uncertainty import BoxDetection, InfoMatrix3
 
 from helpers import independent_solver_objective, random_noisy_graph
-from oracles import closure_clusters, graph_residual_oracle
 
 
 def make_box(cx, cy, theta=0.0, var_x=0.04, var_y=0.04, var_theta=0.01, confidence=0.8, agent_id="a"):
@@ -89,6 +89,38 @@ class TestClusterBoxes:
             got = sorted(tuple(c) for c in cluster_boxes(boxes, center_gap=2.0))
             want = closure_clusters([(b.cx, b.cy) for _, b in boxes], 2.0)
             assert got == want
+
+    def test_dropped_duplicate_does_not_leave_a_disconnected_cluster(self):
+        # A-B1-B2-C is one chain under gap 2; dropping the weaker B1 cuts A off from B2-C.
+        boxes = [
+            ("a", make_box(0.0, 0.0, confidence=0.9, agent_id="a")),
+            ("b", make_box(1.8, 0.0, confidence=0.5, agent_id="b")),
+            ("b", make_box(3.0, 0.0, confidence=0.9, agent_id="b")),
+            ("c", make_box(4.5, 0.0, confidence=0.9, agent_id="c")),
+        ]
+        assert cluster_boxes(boxes, center_gap=2.0) == [[0], [1], [2, 3]]
+
+    def test_clusters_connected_with_distinct_agents(self):
+        rng = np.random.default_rng(82)
+        for _ in range(300):
+            boxes = [
+                (
+                    agent,
+                    make_box(
+                        float(rng.uniform(-6, 6)), float(rng.uniform(-6, 6)),
+                        confidence=float(rng.choice([0.5, 0.7, 0.9])), agent_id=agent,
+                    ),
+                )
+                for agent in ("a", "b", "c", "d")
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+            clusters = cluster_boxes(boxes, center_gap=2.0)
+            assert sorted(i for c in clusters for i in c) == list(range(len(boxes)))
+            for cluster in clusters:
+                agents = [boxes[i][0] for i in cluster]
+                assert len(agents) == len(set(agents))
+                centers = [(boxes[i][1].cx, boxes[i][1].cy) for i in cluster]
+                assert len(closure_clusters(centers, 2.0)) == 1
 
     def test_rejects_bad_gap(self):
         with pytest.raises(ValueError):

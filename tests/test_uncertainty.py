@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from agentpose.geometry import Pose2, compose
+from agentpose.oracles import i0_fraction, i1_fraction, log_fraction
 from agentpose.uncertainty import (
     BoxDetection,
     InfoMatrix3,
@@ -20,8 +21,6 @@ from agentpose.uncertainty import (
     transform_box,
     von_mises_angle_loss,
 )
-
-from oracles import i0_fraction, i1_fraction, log_fraction
 
 # log(I0(1)), frozen from the exact rational power series oracle.
 LOG_I0_AT_1 = 0.23591435850717346
