@@ -96,6 +96,21 @@ def _build(cls: type, cfg: dict, key: str) -> Any:
         raise UsageError(f"config field {key!r}: {exc}") from exc
 
 
+def _benchmark_config(cfg: dict, seed: int) -> BenchmarkConfig:
+    """The BenchmarkConfig of a merged config table; every command reads its values through it."""
+    kwargs = {}
+    for f in fields(BenchmarkConfig):
+        node, key = _slot(cfg, f.name)
+        kwargs[f.name] = node[key]
+    kwargs.update(
+        seed=seed, detector=_build(DetectorSpec, cfg, "detector"), solver=_build(SolverParams, cfg, "solver")
+    )
+    try:
+        return BenchmarkConfig(**kwargs)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"invalid config: {exc}") from exc
+
+
 def _require_seed(cfg: dict, args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else cfg["seed"]
     if seed is None:
@@ -118,13 +133,14 @@ def _thread_count(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args.config)
     seed = _require_seed(cfg, args)
+    config = _benchmark_config(cfg, seed)
     scene = generate_scene(
-        int(cfg["agents"]),
-        int(cfg["objects"]),
-        area=tuple(cfg["area"]),
+        config.num_agents,
+        config.num_objects,
+        area=config.area,
         seed=seed,
-        extent=tuple(cfg["extent"]),
-        min_object_gap=float(cfg["min_object_gap"]),
+        extent=config.extent,
+        min_object_gap=config.min_object_gap,
     )
     out = args.out or "scene.json"
     try:
@@ -149,13 +165,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if all(a.agent_id != ego for a in scene.agents):
         raise UsageError(f"ego agent {ego!r} not present in scene")
     seed = args.seed if args.seed is not None else (cfg["seed"] if cfg["seed"] is not None else 0)
+    config = _benchmark_config(cfg, int(seed))
     noise = _build(NoiseSpec, cfg, "noise")
-    detector = _build(DetectorSpec, cfg, "detector")
-    solver = _build(SolverParams, cfg, "solver")
 
-    messages = make_messages(scene, noise, detector, int(seed))
-    graph = build_pose_graph(messages, ego, center_gap=float(cfg["cluster_gap"]))
-    result = optimize(graph, solver)
+    messages = make_messages(scene, noise, config.detector, int(seed))
+    graph = build_pose_graph(messages, ego, center_gap=config.cluster_gap)
+    result = optimize(graph, config.solver)
     rel = relative_poses(result.agent_poses, ego)
     payload = {
         "type": "solve_result",
@@ -185,19 +200,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     cfg = _merge_config(args.config)
-    seed = _require_seed(cfg, args)
-    kwargs = {}
-    for f in fields(BenchmarkConfig):
-        node, key = _slot(cfg, f.name)
-        kwargs[f.name] = node[key]
-    kwargs.update(
-        seed=seed, detector=_build(DetectorSpec, cfg, "detector"), solver=_build(SolverParams, cfg, "solver")
-    )
-    try:
-        config = BenchmarkConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"invalid benchmark config: {exc}") from exc
-
+    config = _benchmark_config(cfg, _require_seed(cfg, args))
     result = run_benchmark(config, threads=_thread_count(args))
     stem = args.out or "benchmark"
     if stem.endswith(".json"):

@@ -9,6 +9,7 @@ ground truth at the configured IoU thresholds.
 
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -179,12 +180,27 @@ class BenchmarkConfig:
             object.__setattr__(self, name, cast(getattr(self, name)))
         if self.scenes < 1:
             raise ValueError("scenes must be >= 1")
-        object.__setattr__(self, "area", (float(self.area[0]), float(self.area[1])))
-        object.__setattr__(self, "extent", (float(self.extent[0]), float(self.extent[1])))
+        if self.num_agents < 1 or self.num_objects < 0:
+            raise ValueError("num_agents must be >= 1 and num_objects >= 0")
+        if self.min_object_gap < 0.0:
+            raise ValueError("min_object_gap must be >= 0")
+        for name in ("area", "extent"):
+            pair = tuple(float(v) for v in getattr(self, name))
+            if len(pair) != 2 or min(pair) <= 0.0:
+                raise ValueError(f"{name} must be two positive values")
+            object.__setattr__(self, name, pair)
         object.__setattr__(self, "noise_grid", tuple((float(t), float(r)) for t, r in self.noise_grid))
         object.__setattr__(self, "ap_thresholds", tuple(float(t) for t in self.ap_thresholds))
         if not self.noise_grid:
             raise ValueError("noise_grid must not be empty")
+        for level in range(len(self.noise_grid)):
+            self.noise_at(level)  # NoiseSpec checks the kind and both scales
+        if not all(0.0 < t < 1.0 for t in self.ap_thresholds):
+            raise ValueError("ap_thresholds must be in (0, 1)")
+        if self.cluster_gap <= 0.0:
+            raise ValueError("cluster_gap must be positive")
+        if not 0.0 < self.nms_iou <= 1.0:
+            raise ValueError("nms_iou must be in (0, 1]")
 
     def noise_at(self, level: int) -> NoiseSpec:
         t, r = self.noise_grid[level]
@@ -445,15 +461,7 @@ def run_benchmark(config: BenchmarkConfig, threads: int = 1) -> BenchmarkResult:
 
 
 def _config_dict(config: BenchmarkConfig) -> dict:
-    out = asdict(config)
-    out["area"] = list(config.area)
-    out["extent"] = list(config.extent)
-    out["noise_grid"] = [list(p) for p in config.noise_grid]
-    out["ap_thresholds"] = list(config.ap_thresholds)
-    det = out["detector"]
-    if det["noise_scale_choices"] is not None:
-        det["noise_scale_choices"] = list(det["noise_scale_choices"])
-    return out
+    return json.loads(json.dumps(asdict(config)))
 
 
 def histogram_rows(report: EvalReport, metric: str, bins: int = 40) -> list[tuple[float, float, float, str]]:

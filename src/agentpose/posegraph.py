@@ -255,7 +255,14 @@ def build_pose_graph(
 
 
 class _Problem:
-    """Packed array view of a pose graph for vectorized residual/Jacobian evaluation."""
+    """Packed array view of a pose graph for vectorized residual/Jacobian evaluation.
+
+    _linearize gives each edge's weighted residual and its weighted Jacobian
+    blocks, A for the agent pose and O for the object pose. normal_equations
+    sums JᵀJ and Jᵀr over the free state (every node but the ego) from those
+    blocks; residuals_and_jacobian scatters them into the dense Jacobian, a
+    view kept for verification only.
+    """
 
     def __init__(self, graph: PoseGraph):
         n_a = len(graph.agent_ids)
@@ -263,12 +270,8 @@ class _Problem:
         self.n_nodes = n_a + len(graph.object_poses)
         self.ego = graph.ego_index
         self.free_nodes = np.array([i for i in range(self.n_nodes) if i != self.ego], dtype=int)
-        col_rank = np.full(self.n_nodes, -1, dtype=int)
-        col_rank[self.free_nodes] = np.arange(len(self.free_nodes))
-        self.col_rank = col_rank
-        self.p0 = np.array(
-            [p.as_tuple() for p in graph.agent_poses + graph.object_poses], dtype=float
-        )
+        self.n_free = 3 * len(self.free_nodes)
+        self.p0 = np.array([p.as_tuple() for p in graph.agent_poses + graph.object_poses], dtype=float)
         m = len(graph.edges)
         self.m = m
         self.ai = np.array([e.agent_index for e in graph.edges], dtype=int)
@@ -278,31 +281,21 @@ class _Problem:
         self.zt = np.array([e.measurement.theta for e in graph.edges])
         self.sqrt_w = np.sqrt(np.array([e.info.diagonal() for e in graph.edges], dtype=float)).reshape(m, 3)
 
-    def residuals(self, poses: np.ndarray) -> np.ndarray:
-        if self.m == 0:
-            return np.zeros(0)
-        tj = poses[self.ai]
-        tk = poses[self.oi]
-        dx = tk[:, 0] - tj[:, 0]
-        dy = tk[:, 1] - tj[:, 1]
-        cj = np.cos(tj[:, 2])
-        sj = np.sin(tj[:, 2])
-        ax = cj * dx + sj * dy
-        ay = -sj * dx + cj * dy
-        bx = ax - self.zx
-        by = ay - self.zy
-        cz = np.cos(self.zt)
-        sz = np.sin(self.zt)
-        e = np.empty((self.m, 3))
-        e[:, 0] = cz * bx + sz * by
-        e[:, 1] = -sz * bx + cz * by
-        e[:, 2] = wrap_angles(tk[:, 2] - tj[:, 2] - self.zt)
-        return (e * self.sqrt_w).ravel()
+        # State column of each of an edge's six Jacobian columns [A | O]. The
+        # ego's columns go to one extra slot past the free state, dropped later.
+        slot = np.full(self.n_nodes, len(self.free_nodes))
+        slot[self.free_nodes] = np.arange(len(self.free_nodes))
+        self._cols = (3 * slot[np.stack((self.ai, self.oi), axis=1)][:, :, None] + np.arange(3)).reshape(m, 6)
+        # Flat index of every entry of an edge's [A|O]ᵀ[A | O | r] (6 x 7) into
+        # the augmented JᵀJ (size x size, row-major) followed by Jᵀr (size).
+        size = self.n_free + 3
+        self._sum_index = np.concatenate(
+            (self._cols[:, :, None] * size + self._cols[:, None, :], size * size + self._cols[:, :, None]),
+            axis=2,
+        ).ravel()
 
-    def residuals_and_jacobian(self, poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n_free_cols = 3 * len(self.free_nodes)
-        if self.m == 0:
-            return np.zeros(0), np.zeros((0, n_free_cols))
+    def _linearize(self, poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted residuals, flat (3m,), and the weighted blocks [A | O], shape (m, 3, 6)."""
         tj = poses[self.ai]
         tk = poses[self.oi]
         dx = tk[:, 0] - tj[:, 0]
@@ -317,44 +310,40 @@ class _Problem:
         e[:, 0] = cz * (ax - self.zx) + sz * (ay - self.zy)
         e[:, 1] = -sz * (ax - self.zx) + cz * (ay - self.zy)
         e[:, 2] = wrap_angles(tk[:, 2] - tj[:, 2] - self.zt)
-        r = (e * self.sqrt_w).ravel()
 
         # Rotation R(-(theta_z + theta_j)) appears in both translation blocks.
         phi = self.zt + tj[:, 2]
         cphi = np.cos(phi)
         sphi = np.sin(phi)
-        block_a = np.zeros((self.m, 3, 3))
-        block_a[:, 0, 0] = -cphi
-        block_a[:, 0, 1] = -sphi
-        block_a[:, 0, 2] = cz * ay - sz * ax
-        block_a[:, 1, 0] = sphi
-        block_a[:, 1, 1] = -cphi
-        block_a[:, 1, 2] = -sz * ay - cz * ax
-        block_a[:, 2, 2] = -1.0
-        block_o = np.zeros((self.m, 3, 3))
-        block_o[:, 0, 0] = cphi
-        block_o[:, 0, 1] = sphi
-        block_o[:, 1, 0] = -sphi
-        block_o[:, 1, 1] = cphi
-        block_o[:, 2, 2] = 1.0
-        block_a *= self.sqrt_w[:, :, None]
-        block_o *= self.sqrt_w[:, :, None]
+        jac = np.zeros((self.m, 3, 6))
+        jac[:, 0, 0] = -cphi
+        jac[:, 0, 1] = -sphi
+        jac[:, 0, 2] = cz * ay - sz * ax
+        jac[:, 1, 0] = sphi
+        jac[:, 1, 1] = -cphi
+        jac[:, 1, 2] = -sz * ay - cz * ax
+        jac[:, 2, 2] = -1.0
+        jac[:, :2, 3:5] = -jac[:, :2, :2]
+        jac[:, 2, 5] = 1.0
+        return (e * self.sqrt_w).ravel(), jac * self.sqrt_w[:, :, None]
 
-        jac = np.zeros((3 * self.m, n_free_cols))
-        rows = 3 * np.arange(self.m)[:, None, None] + np.arange(3)[None, :, None]
-        rows = np.broadcast_to(rows, (self.m, 3, 3))
-        offsets = np.arange(3)[None, None, :]
+    def residuals(self, poses: np.ndarray) -> np.ndarray:
+        return self._linearize(poses)[0]
 
-        cols_o = 3 * self.col_rank[self.oi][:, None, None] + offsets
-        cols_o = np.broadcast_to(cols_o, (self.m, 3, 3))
-        jac[rows.ravel(), cols_o.ravel()] = block_o.ravel()
+    def normal_equations(self, r: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """JᵀJ and Jᵀr over the free state, summed from the edges' [A|O]ᵀ[A | O | r]."""
+        per_edge = jac.transpose(0, 2, 1) @ np.concatenate((jac, r.reshape(-1, 3, 1)), axis=2)
+        size = self.n_free + 3
+        sums = np.bincount(self._sum_index, per_edge.ravel(), minlength=size * (size + 1))
+        hess = sums[: size * size].reshape(size, size)[: self.n_free, : self.n_free]
+        return hess, sums[size * size : size * size + self.n_free]
 
-        free_edge = self.col_rank[self.ai] >= 0
-        if np.any(free_edge):
-            cols_a = 3 * self.col_rank[self.ai[free_edge]][:, None, None] + offsets
-            cols_a = np.broadcast_to(cols_a, (int(free_edge.sum()), 3, 3))
-            jac[rows[free_edge].ravel(), cols_a.ravel()] = block_a[free_edge].ravel()
-        return r, jac
+    def residuals_and_jacobian(self, poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals and the dense (3m, n_free) Jacobian, scattered from the edge blocks."""
+        r, jac = self._linearize(poses)
+        dense = np.zeros((self.m, 3, self.n_free + 3))
+        np.put_along_axis(dense, np.broadcast_to(self._cols[:, None, :], jac.shape), jac, axis=2)
+        return r, dense.reshape(3 * self.m, self.n_free + 3)[:, : self.n_free]
 
     def apply_step(self, poses: np.ndarray, delta: np.ndarray) -> np.ndarray:
         out = poses.copy()
@@ -366,39 +355,44 @@ class _Problem:
 def optimize(graph: PoseGraph, params: SolverParams = SolverParams()) -> SolveResult:
     """Minimize the weighted pose-consistency objective with Levenberg-Marquardt.
 
-    The ego pose never enters the state vector and is returned bit-identical.
-    The objective over accepted steps is non-increasing by construction; a
-    singular normal system only raises the damping, never an error. Returns
-    the best state found even when the iteration budget runs out.
+    Each iteration sums the normal equations from the per-edge Jacobian blocks;
+    the dense Jacobian is never formed. The ego pose never enters the state
+    vector and is returned bit-identical. The objective over accepted steps is
+    non-increasing by construction; a singular normal system only raises the
+    damping, never an error. The solve stops when a step would gain less than
+    convergence_tol: measured on an accepted step, predicted by the linear
+    model on a rejected one. Returns the best state found even when the
+    iteration budget runs out.
     """
     prob = _Problem(graph)
     poses = prob.p0.copy()
-    r = prob.residuals(poses)
+    r, jac = prob._linearize(poses)
     objective = float(r @ r)
     trace = [objective]
     lam = params.initial_damping
     iterations = 0
     converged = False
-    n_free = 3 * len(prob.free_nodes)
 
-    if n_free == 0 or prob.m == 0:
+    if prob.n_free == 0 or prob.m == 0:
         converged = True
     else:
-        identity = np.eye(n_free)
+        identity = np.eye(prob.n_free)
         for _ in range(params.max_iterations):
-            r, jac = prob.residuals_and_jacobian(poses)
-            grad = jac.T @ r
+            hess, grad = prob.normal_equations(r, jac)
             if float(np.max(np.abs(grad), initial=0.0)) < params.gradient_tol:
                 converged = True
                 break
-            hess = jac.T @ jac
             iterations += 1
             accepted = False
             decrease = 0.0
             while lam < 1e15:
+                damped = hess + lam * identity
                 try:
-                    np.linalg.cholesky(hess + lam * identity)
-                    delta = np.linalg.solve(hess + lam * identity, -grad)
+                    # Cholesky is the positive-definiteness guard: a component
+                    # detached from the ego leaves JᵀJ singular, and solve alone
+                    # would accept steps along the free gauge.
+                    np.linalg.cholesky(damped)
+                    delta = np.linalg.solve(damped, -grad)
                 except np.linalg.LinAlgError:
                     lam *= params.damping_increase
                     continue
@@ -406,19 +400,23 @@ def optimize(graph: PoseGraph, params: SolverParams = SolverParams()) -> SolveRe
                     lam *= params.damping_increase
                     continue
                 candidate = prob.apply_step(poses, delta)
-                r_new = prob.residuals(candidate)
+                r_new, jac_new = prob._linearize(candidate)
                 objective_new = float(r_new @ r_new)
                 if objective_new < objective:
                     decrease = objective - objective_new
-                    poses = candidate
+                    poses, r, jac = candidate, r_new, jac_new
                     objective = objective_new
                     lam = max(lam * params.damping_decrease, 1e-15)
                     accepted = True
                     break
+                # The linear model's decrease only shrinks as lam grows; once it
+                # is below tolerance, more damping cannot gain anything real.
+                if float(delta @ (lam * delta - grad)) < params.convergence_tol:
+                    break
                 lam *= params.damping_increase
             if not accepted:
-                # No step decreases the objective even under maximal damping:
-                # the achievable decrease is 0 < convergence_tol.
+                # No step accepted: the damping hit its cap, or the linear
+                # model predicts a gain below convergence_tol.
                 converged = True
                 break
             trace.append(objective)

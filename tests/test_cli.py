@@ -197,6 +197,39 @@ class TestBenchmark:
         assert report["status"] == "partial"
 
 
+BAD_CONFIG_VALUES = [
+    pytest.param({"noise": {"kind": "bogus"}}, id="noise_kind"),
+    pytest.param({"agents": 0}, id="agents"),
+    pytest.param({"area": [0, 10]}, id="area_zero"),
+    pytest.param({"area": [10]}, id="area_one_value"),
+    pytest.param({"extent": [0, -3]}, id="extent"),
+    pytest.param({"min_object_gap": -5}, id="min_object_gap"),
+    pytest.param({"noise_grid": [[-1, 0]]}, id="noise_grid"),
+    pytest.param({"ap_thresholds": [1.5]}, id="ap_thresholds"),
+    pytest.param({"cluster_gap": 0}, id="cluster_gap_zero"),
+    pytest.param({"cluster_gap": -1}, id="cluster_gap_negative"),
+    pytest.param({"nms_iou": 0}, id="nms_iou"),
+]
+
+
+class TestBadConfigValues:
+    @pytest.mark.parametrize("command", ["generate", "solve", "benchmark"])
+    @pytest.mark.parametrize("bad", BAD_CONFIG_VALUES)
+    def test_usage_error_and_no_output(self, tmp_path, capsys, command, bad):
+        _, scene = run_generate(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        argv = [command, "--seed", "1", "--config", str(cfg), "--out", str(tmp_path / "out.json")]
+        if command == "solve":
+            argv += ["--scene", str(scene)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert not list(tmp_path.glob("out*"))
+
+
 class TestSelftestAndUsage:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0

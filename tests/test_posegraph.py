@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from agentpose.evaluate import BenchmarkConfig
 from agentpose.geometry import Pose2, compose, inverse, normalize_angle
 from agentpose.oracles import closure_clusters, graph_residual_oracle
 from agentpose.posegraph import (
@@ -23,6 +24,7 @@ from agentpose.posegraph import (
     relative_poses,
     with_uniform_info,
 )
+from agentpose.scenario import derive_seed, generate_scene, make_messages
 from agentpose.uncertainty import BoxDetection, InfoMatrix3
 
 from helpers import independent_solver_objective, random_noisy_graph
@@ -406,6 +408,100 @@ class TestOptimize:
         flat = with_uniform_info(graph)
         assert all(e.info == InfoMatrix3.identity() for e in flat.edges)
         assert [e.measurement for e in flat.edges] == [e.measurement for e in graph.edges]
+
+
+def acceptance_graph(scene_idx):
+    """Weighted graph of one scene of the acceptance benchmark, built as run_benchmark builds it."""
+    config = BenchmarkConfig(seed=20230601, noise_grid=((0.6, 0.6),))
+    scene = generate_scene(
+        config.num_agents, config.num_objects, area=config.area,
+        seed=derive_seed(config.seed, "scene", scene_idx), extent=config.extent,
+        min_object_gap=config.min_object_gap,
+    )
+    noise_seed = derive_seed(config.seed, "msgs", 0, scene_idx)
+    messages = make_messages(scene, config.noise_at(0), config.detector, noise_seed)
+    return build_pose_graph(messages, scene.agents[0].agent_id, center_gap=config.cluster_gap)
+
+
+def edgeless_agent_graph():
+    """Ego a1 in the middle of the agent order; a2 has no edges."""
+    objs = [Pose2(4.0, 4.0, 0.3), Pose2(12.0, -3.0, -0.8), Pose2(7.0, 9.0, 2.0)]
+    messages = [
+        exact_message("a0", Pose2(8.0, 2.0, 0.5), objs, measured=Pose2(8.3, 1.8, 0.55)),
+        exact_message("a1", Pose2.identity(), objs),
+        AgentMessage("a2", Pose2(50.0, 50.0, 1.0), ()),
+    ]
+    return build_pose_graph(messages, "a1")
+
+
+def detached_graph():
+    """Ego a0 and a1 share two objects; a2 and a3 share two others and never meet the ego."""
+    near = [Pose2(4.0, 4.0, 0.3), Pose2(12.0, -3.0, -0.8)]
+    far = [Pose2(80.0, 60.0, 1.1), Pose2(90.0, 52.0, -2.0)]
+    messages = [
+        exact_message("a0", Pose2.identity(), near),
+        exact_message("a1", Pose2(8.0, 2.0, 0.5), near, measured=Pose2(8.3, 1.8, 0.55)),
+        exact_message("a2", Pose2(70.0, 55.0, -0.4), far, measured=Pose2(70.4, 55.2, -0.35)),
+        exact_message("a3", Pose2(85.0, 62.0, 2.5), far),
+    ]
+    return build_pose_graph(messages, "a0")
+
+
+class TestNormalEquations:
+    def assert_match_dense(self, graph, rng):
+        prob = _Problem(graph)
+        poses = prob.p0.copy()
+        poses[prob.free_nodes] += rng.uniform(-0.3, 0.3, (len(prob.free_nodes), 3))
+        hess, grad = prob.normal_equations(*prob._linearize(poses))
+        r, jac = prob.residuals_and_jacobian(poses)
+        for got, want in ((hess, jac.T @ jac), (grad, jac.T @ r)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(96)
+        for _ in range(50):
+            self.assert_match_dense(random_noisy_graph(rng), rng)
+
+    @pytest.mark.parametrize(
+        "make_graph",
+        [lambda: two_agent_graph()[0], edgeless_agent_graph, detached_graph],
+        ids=["ego_with_edges", "agent_without_edges", "detached_component"],
+    )
+    def test_special_graphs(self, make_graph):
+        graph = make_graph()
+        assert len(graph.agent_ids) >= 2 and graph.edges
+        self.assert_match_dense(graph, np.random.default_rng(97))
+
+    def test_optimize_never_forms_the_dense_jacobian(self, monkeypatch):
+        def refuse(self, poses):
+            raise AssertionError("optimize formed the dense Jacobian")
+
+        monkeypatch.setattr(_Problem, "residuals_and_jacobian", refuse)
+        graph, true_poses, _ = two_agent_graph(perturb=(1.0, -0.8, 0.2))
+        result = optimize(graph)
+        assert result.converged and result.iterations > 0
+        assert result.agent_poses["a1"].x == pytest.approx(true_poses["a1"].x, abs=1e-6)
+
+
+class TestDampingLoop:
+    @pytest.mark.parametrize("scene_idx", [9, 41, 75, 76])
+    def test_noise_floor_costs_no_extra_trials(self, monkeypatch, scene_idx):
+        # These solves end with a step whose true decrease is below the rounding
+        # noise of the objective. A rejected step there must end the solve, not
+        # raise the damping tenfold per trial up to its cap.
+        cholesky = np.linalg.cholesky
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        graph = acceptance_graph(scene_idx)
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        result = optimize(graph)
+        assert result.converged
+        assert len(calls) == result.iterations
 
 
 class TestRelativePoses:
