@@ -183,6 +183,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "objective": result.objective,
         "iterations": result.iterations,
         "converged": result.converged,
+        "termination": result.termination,
+        "rejected_steps": result.rejected_steps,
         "objective_trace": list(result.objective_trace),
     }
     if args.out:

@@ -102,20 +102,47 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Solved poses and why the solve stopped.
+
+    termination is one of "nothing_to_solve" (no free node or no edge),
+    "gradient_tol", "decrease_tol" (an accepted step gained less than
+    convergence_tol), "no_step_accepted" (the damping hit its cap, or the
+    linear model predicts a gain below convergence_tol) and "max_iterations".
+    converged is true for all but "max_iterations". rejected_steps counts the
+    trial steps not accepted.
+    """
+
     agent_poses: dict[str, Pose2]
     object_poses: tuple[Pose2, ...]
     objective: float
     iterations: int
     converged: bool
     objective_trace: tuple[float, ...]
+    termination: str
+    rejected_steps: int
 
 
 def _components(xs: np.ndarray, ys: np.ndarray, gap2: float) -> list[list[int]]:
     """Connected components of the points linked by squared distance below gap2.
 
-    Components are ordered by smallest member, members ascending.
+    Components are ordered by smallest member, members ascending. Candidate
+    partners come from a sort by x: a linked pair is less than the gap apart
+    in x, so each point's candidates are the points after it in x order up to
+    x + gap. The squared-distance test then runs on all candidates at once.
     """
     n = len(xs)
+    order = np.argsort(xs, kind="stable")
+    sx = xs[order]
+    sy = ys[order]
+    # The slack keeps every pair whose rounded squared distance is below gap2
+    # among the candidates; the exact test below decides which are linked.
+    reach = np.searchsorted(sx, sx + math.sqrt(gap2) * (1.0 + 1e-6), side="right")
+    counts = reach - np.arange(1, n + 1)
+    # Pair t of sorted point p is (p, p + 1 + t - (number of pairs before p's)).
+    first = np.repeat(np.arange(n), counts)
+    second = np.arange(len(first)) + np.repeat(reach - np.cumsum(counts), counts)
+    linked = (sx[second] - sx[first]) ** 2 + (sy[second] - sy[first]) ** 2 < gap2
+
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -124,12 +151,10 @@ def _components(xs: np.ndarray, ys: np.ndarray, gap2: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        d2 = (xs[i + 1 :] - xs[i]) ** 2 + (ys[i + 1 :] - ys[i]) ** 2
-        for j in np.nonzero(d2 < gap2)[0]:
-            ri, rj = find(i), find(int(j) + i + 1)
-            if ri != rj:
-                parent[rj] = ri
+    for i, j in zip(order[first[linked]].tolist(), order[second[linked]].tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
 
     components: dict[int, list[int]] = {}
     for i in range(n):
@@ -258,16 +283,19 @@ class _Problem:
     """Packed array view of a pose graph for vectorized residual/Jacobian evaluation.
 
     _linearize gives each edge's weighted residual and its weighted Jacobian
-    blocks, A for the agent pose and O for the object pose. normal_equations
-    sums JᵀJ and Jᵀr over the free state (every node but the ego) from those
-    blocks; residuals_and_jacobian scatters them into the dense Jacobian, a
-    view kept for verification only.
+    blocks, A for the agent pose and O for the object pose. block_sums sums
+    JᵀJ and Jᵀr over the free state (every node but the ego) from those blocks
+    into the agent, cross and object blocks that the Schur step takes.
+    normal_equations assembles the dense JᵀJ and Jᵀr from the same sums and
+    residuals_and_jacobian scatters the edge blocks into the dense Jacobian;
+    both are views kept for verification only.
     """
 
     def __init__(self, graph: PoseGraph):
         n_a = len(graph.agent_ids)
+        n_o = len(graph.object_poses)
         self.n_agents = n_a
-        self.n_nodes = n_a + len(graph.object_poses)
+        self.n_nodes = n_a + n_o
         self.ego = graph.ego_index
         self.free_nodes = np.array([i for i in range(self.n_nodes) if i != self.ego], dtype=int)
         self.n_free = 3 * len(self.free_nodes)
@@ -281,18 +309,27 @@ class _Problem:
         self.zt = np.array([e.measurement.theta for e in graph.edges])
         self.sqrt_w = np.sqrt(np.array([e.info.diagonal() for e in graph.edges], dtype=float)).reshape(m, 3)
 
-        # State column of each of an edge's six Jacobian columns [A | O]. The
-        # ego's columns go to one extra slot past the free state, dropped later.
-        slot = np.full(self.n_nodes, len(self.free_nodes))
-        slot[self.free_nodes] = np.arange(len(self.free_nodes))
-        self._cols = (3 * slot[np.stack((self.ai, self.oi), axis=1)][:, :, None] + np.arange(3)).reshape(m, 6)
+        # Free state: the free agents (n_free_agents entries), then the objects.
+        # The ego's rows and columns go to one extra agent slot, sliced off.
+        self.n_free_agents = 3 * (n_a - 1)
+        agent_slot = np.full(n_a, n_a - 1)
+        agent_slot[self.free_nodes[self.free_nodes < n_a]] = np.arange(n_a - 1)
+        ra = 3 * agent_slot[self.ai][:, None] + np.arange(3)
+        ro = 3 * (self.oi - n_a)[:, None] + np.arange(3)
+        na, no = 3 * n_a, 3 * n_o
         # Flat index of every entry of an edge's [A|O]ᵀ[A | O | r] (6 x 7) into
-        # the augmented JᵀJ (size x size, row-major) followed by Jᵀr (size).
-        size = self.n_free + 3
-        self._sum_index = np.concatenate(
-            (self._cols[:, :, None] * size + self._cols[:, None, :], size * size + self._cols[:, :, None]),
-            axis=2,
-        ).ravel()
+        # H_aa (na x na), H_ao (na x no), H_oo (n_o x 3 x 3), g_a (na) and g_o
+        # (no), laid end to end. OᵀA is AᵀO transposed and goes to a discard
+        # slot. Entries are summed, so a repeated edge counts twice.
+        self._bounds = np.cumsum([na * na, na * no, 3 * no, na, no]).tolist()
+        index = np.empty((m, 6, 7), dtype=np.intp)
+        index[:, :3, :3] = ra[:, :, None] * na + ra[:, None, :]
+        index[:, :3, 3:6] = self._bounds[0] + ra[:, :, None] * no + ro[:, None, :]
+        index[:, 3:, :3] = self._bounds[-1]
+        index[:, 3:, 3:6] = self._bounds[1] + 3 * ro[:, :, None] + np.arange(3)
+        index[:, :3, 6] = self._bounds[2] + ra
+        index[:, 3:, 6] = self._bounds[3] + ro
+        self._block_index = index.ravel()
 
     def _linearize(self, poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weighted residuals, flat (3m,), and the weighted blocks [A | O], shape (m, 3, 6)."""
@@ -330,19 +367,46 @@ class _Problem:
     def residuals(self, poses: np.ndarray) -> np.ndarray:
         return self._linearize(poses)[0]
 
-    def normal_equations(self, r: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """JᵀJ and Jᵀr over the free state, summed from the edges' [A|O]ᵀ[A | O | r]."""
+    def block_sums(self, r: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, ...]:
+        """JᵀJ and Jᵀr over the free state as blocks (H_aa, H_ao, H_oo, g_a, g_o).
+
+        H_aa and H_ao are the free agents' rows, H_oo holds one 3x3 block per
+        object, g_a and g_o are the agents' and the objects' parts of Jᵀr.
+        """
         per_edge = jac.transpose(0, 2, 1) @ np.concatenate((jac, r.reshape(-1, 3, 1)), axis=2)
-        size = self.n_free + 3
-        sums = np.bincount(self._sum_index, per_edge.ravel(), minlength=size * (size + 1))
-        hess = sums[: size * size].reshape(size, size)[: self.n_free, : self.n_free]
-        return hess, sums[size * size : size * size + self.n_free]
+        b = self._bounds
+        sums = np.bincount(self._block_index, per_edge.ravel(), minlength=b[-1] + 1)
+        fa = self.n_free_agents
+        na = fa + 3
+        return (
+            sums[: b[0]].reshape(na, na)[:fa, :fa],
+            sums[b[0] : b[1]].reshape(na, -1)[:fa],
+            sums[b[1] : b[2]].reshape(-1, 3, 3),
+            sums[b[2] : b[2] + fa],
+            sums[b[3] : b[4]],
+        )
+
+    def normal_equations(self, r: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Dense JᵀJ and Jᵀr over the free state, assembled from block_sums."""
+        h_aa, h_ao, h_oo, g_a, g_o = self.block_sums(r, jac)
+        fa = self.n_free_agents
+        n_o = len(h_oo)
+        hess = np.zeros((self.n_free, self.n_free))
+        hess[:fa, :fa] = h_aa
+        hess[:fa, fa:] = h_ao
+        hess[fa:, :fa] = h_ao.T
+        objects = hess[fa:, fa:].reshape(n_o, 3, n_o, 3)
+        objects[np.arange(n_o), :, np.arange(n_o), :] = h_oo
+        return hess, np.concatenate((g_a, g_o))
 
     def residuals_and_jacobian(self, poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residuals and the dense (3m, n_free) Jacobian, scattered from the edge blocks."""
         r, jac = self._linearize(poses)
+        slot = np.full(self.n_nodes, len(self.free_nodes))
+        slot[self.free_nodes] = np.arange(len(self.free_nodes))
+        cols = (3 * slot[np.stack((self.ai, self.oi), axis=1)][:, :, None] + np.arange(3)).reshape(self.m, 1, 6)
         dense = np.zeros((self.m, 3, self.n_free + 3))
-        np.put_along_axis(dense, np.broadcast_to(self._cols[:, None, :], jac.shape), jac, axis=2)
+        np.put_along_axis(dense, np.broadcast_to(cols, jac.shape), jac, axis=2)
         return r, dense.reshape(3 * self.m, self.n_free + 3)[:, : self.n_free]
 
     def apply_step(self, poses: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -352,17 +416,44 @@ class _Problem:
         return out
 
 
+def _schur_step(
+    h_aa: np.ndarray, h_ao: np.ndarray, h_oo: np.ndarray, g_a: np.ndarray, g_o: np.ndarray, lam: float
+) -> np.ndarray:
+    """Solve (JᵀJ + lam I) delta = -Jᵀr from block_sums by eliminating the objects.
+
+    With C the damped object blocks, the agent step solves the Schur complement
+    S = H_aa + lam I - H_ao C⁻¹ H_aoᵀ, and each object's step follows from it.
+    Every block of C is positive definite, so the damped system is positive
+    definite exactly when S is: the Cholesky of S is the guard. It raises
+    LinAlgError otherwise, e.g. for a component detached from the ego, whose
+    JᵀJ is singular and whose free gauge a plain solve would step along.
+    """
+    fa, n_o = len(g_a), len(h_oo)
+    c_inv = np.linalg.inv(h_oo + lam * np.eye(3))
+    # W = H_ao C⁻¹, one (fa x 3) @ (3 x 3) product per object.
+    w = (h_ao.reshape(fa, n_o, 3).transpose(1, 0, 2) @ c_inv).transpose(1, 0, 2).reshape(fa, 3 * n_o)
+    s = h_aa - w @ h_ao.T
+    s.flat[:: fa + 1] += lam  # + lam I
+    np.linalg.cholesky(s)
+    delta_a = np.linalg.solve(s, w @ g_o - g_a)
+    delta_o = c_inv @ (-g_o - h_ao.T @ delta_a).reshape(n_o, 3, 1)
+    return np.concatenate((delta_a, delta_o.ravel()))
+
+
 def optimize(graph: PoseGraph, params: SolverParams = SolverParams()) -> SolveResult:
     """Minimize the weighted pose-consistency objective with Levenberg-Marquardt.
 
     Each iteration sums the normal equations from the per-edge Jacobian blocks;
-    the dense Jacobian is never formed. The ego pose never enters the state
-    vector and is returned bit-identical. The objective over accepted steps is
-    non-increasing by construction; a singular normal system only raises the
-    damping, never an error. The solve stops when a step would gain less than
-    convergence_tol: measured on an accepted step, predicted by the linear
-    model on a rejected one. Returns the best state found even when the
-    iteration budget runs out.
+    the dense Jacobian is never formed. Each trial step eliminates the 3x3
+    object blocks and solves the Schur complement over the free agents
+    (3(n_agents-1) square), then back-substitutes the object steps. The ego
+    pose never enters the state vector and is returned bit-identical. The
+    objective over accepted steps is non-increasing by construction; a
+    singular normal system only raises the damping, never an error. The solve
+    stops when a step would gain less than convergence_tol: measured on an
+    accepted step, predicted by the linear model on a rejected one. Returns
+    the best state found even when the iteration budget runs out; the
+    result's termination says which exit was taken.
     """
     prob = _Problem(graph)
     poses = prob.p0.copy()
@@ -371,28 +462,25 @@ def optimize(graph: PoseGraph, params: SolverParams = SolverParams()) -> SolveRe
     trace = [objective]
     lam = params.initial_damping
     iterations = 0
-    converged = False
+    trials = 0
 
     if prob.n_free == 0 or prob.m == 0:
-        converged = True
+        termination = "nothing_to_solve"
     else:
-        identity = np.eye(prob.n_free)
+        termination = "max_iterations"
         for _ in range(params.max_iterations):
-            hess, grad = prob.normal_equations(r, jac)
+            blocks = prob.block_sums(r, jac)
+            grad = np.concatenate(blocks[3:])
             if float(np.max(np.abs(grad), initial=0.0)) < params.gradient_tol:
-                converged = True
+                termination = "gradient_tol"
                 break
             iterations += 1
             accepted = False
             decrease = 0.0
             while lam < 1e15:
-                damped = hess + lam * identity
+                trials += 1
                 try:
-                    # Cholesky is the positive-definiteness guard: a component
-                    # detached from the ego leaves JᵀJ singular, and solve alone
-                    # would accept steps along the free gauge.
-                    np.linalg.cholesky(damped)
-                    delta = np.linalg.solve(damped, -grad)
+                    delta = _schur_step(*blocks, lam)
                 except np.linalg.LinAlgError:
                     lam *= params.damping_increase
                     continue
@@ -415,13 +503,11 @@ def optimize(graph: PoseGraph, params: SolverParams = SolverParams()) -> SolveRe
                     break
                 lam *= params.damping_increase
             if not accepted:
-                # No step accepted: the damping hit its cap, or the linear
-                # model predicts a gain below convergence_tol.
-                converged = True
+                termination = "no_step_accepted"
                 break
             trace.append(objective)
             if decrease < params.convergence_tol:
-                converged = True
+                termination = "decrease_tol"
                 break
 
     agent_poses: dict[str, Pose2] = {}
@@ -439,8 +525,10 @@ def optimize(graph: PoseGraph, params: SolverParams = SolverParams()) -> SolveRe
         object_poses=object_poses,
         objective=objective,
         iterations=iterations,
-        converged=converged,
+        converged=termination != "max_iterations",
         objective_trace=tuple(trace),
+        termination=termination,
+        rejected_steps=trials - (len(trace) - 1),
     )
 
 

@@ -102,6 +102,19 @@ class TestSolve:
         for aid, pose in rel.items():
             assert payload["corrected_relative_poses"][aid] == [pose.x, pose.y, pose.theta]
 
+    def test_reports_why_the_solve_stopped(self, tmp_path):
+        _, scene_path = run_generate(tmp_path, seed=5)
+        out = tmp_path / "solve.json"
+        assert main(["solve", "--scene", str(scene_path), "--seed", "11", "--out", str(out)]) == 0
+        payload = load_json(str(out))
+
+        scene = scene_from_dict(load_json(str(scene_path)))
+        messages = make_messages(scene, NoiseSpec(trans_scale=0.6, rot_scale=0.6), DetectorSpec(), 11)
+        result = optimize(build_pose_graph(messages, scene.agents[0].agent_id))
+        assert payload["termination"] == result.termination
+        assert payload["rejected_steps"] == result.rejected_steps
+        assert payload["termination"] in ("gradient_tol", "decrease_tol", "no_step_accepted")
+
     def test_unknown_ego_rejected(self, tmp_path, capsys):
         _, scene_path = run_generate(tmp_path, seed=3)
         rc = main(["solve", "--scene", str(scene_path), "--ego", "ghost", "--seed", "0"])

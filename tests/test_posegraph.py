@@ -17,6 +17,8 @@ from agentpose.posegraph import (
     PoseGraph,
     SolverParams,
     _Problem,
+    _components,
+    _schur_step,
     build_pose_graph,
     cluster_boxes,
     init_object_pose,
@@ -123,6 +125,34 @@ class TestClusterBoxes:
                 assert len(agents) == len(set(agents))
                 centers = [(boxes[i][1].cx, boxes[i][1].cy) for i in cluster]
                 assert len(closure_clusters(centers, 2.0)) == 1
+
+    def test_components_match_all_pairs_reference(self):
+        # Lattice points put many pairs exactly at the gap (not linked: the test
+        # is strict) and many points at the same x.
+        def all_pairs(xs, ys, gap2):
+            n = len(xs)
+            label = list(range(n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 < gap2 and label[i] != label[j]:
+                        old, new = label[j], label[i]
+                        label = [new if v == old else v for v in label]
+            groups: dict[int, list[int]] = {}
+            for i in range(n):
+                groups.setdefault(label[i], []).append(i)
+            return sorted(groups.values(), key=lambda c: c[0])
+
+        assert _components(np.array([0.0, 2.0 - 1e-12]), np.zeros(2), 4.0) == [[0, 1]]
+        assert _components(np.array([2.0, 0.0]), np.zeros(2), 4.0) == [[0], [1]]
+        rng = np.random.default_rng(83)
+        for _ in range(300):
+            n = int(rng.integers(0, 40))
+            if rng.random() < 0.5:
+                xs, ys = rng.integers(0, 8, n).astype(float), rng.integers(0, 8, n).astype(float)
+            else:
+                xs, ys = rng.uniform(-10, 10, n), rng.uniform(-10, 10, n)
+            for gap in (1.0, 1.5, 2.0):
+                assert _components(xs, ys, gap * gap) == all_pairs(xs, ys, gap * gap)
 
     def test_rejects_bad_gap(self):
         with pytest.raises(ValueError):
@@ -502,6 +532,144 @@ class TestDampingLoop:
         result = optimize(graph)
         assert result.converged
         assert len(calls) == result.iterations
+
+
+@pytest.fixture
+def cholesky_shapes(monkeypatch):
+    """Shapes of the matrices np.linalg.cholesky is called on while the test runs."""
+    cholesky = np.linalg.cholesky
+    shapes = []
+
+    def spy(a):
+        shapes.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return shapes
+
+
+def ego_only_graph():
+    """The ego is the only agent and sees each object twice, so no agent is free."""
+    objs = [Pose2(4.0, 4.0, 0.3), Pose2(12.0, -3.0, -0.8)]
+    edges = [
+        GraphEdge(0, k, Pose2(o.x + dx, o.y + dy, o.theta + dt), InfoMatrix3(2.0, 2.0, 4.0))
+        for k, o in enumerate(objs)
+        for dx, dy, dt in ((0.1, -0.2, 0.05), (-0.15, 0.1, -0.03))
+    ]
+    return PoseGraph(("ego",), (Pose2.identity(),), 0, tuple(objs), tuple(edges))
+
+
+def repeated_edge_graph():
+    """two_agent_graph plus a second, different measurement of a1's first edge."""
+    graph = two_agent_graph()[0]
+    edge = next(e for e in graph.edges if e.agent_index != graph.ego_index)
+    z = edge.measurement
+    extra = GraphEdge(edge.agent_index, edge.object_index, Pose2(z.x + 0.4, z.y - 0.3, z.theta + 0.1), InfoMatrix3(3.0, 0.5, 2.0))
+    return replace(graph, edges=graph.edges + (extra,))
+
+
+class TestSchurStep:
+    LAMBDAS = (1e-6, 1e-4, 1e-1, 10.0)
+
+    def dense_and_schur(self, graph, lam, rng):
+        """The Schur step and the dense solve of (JᵀJ + lam I) delta = -Jᵀr at a perturbed state."""
+        prob = _Problem(graph)
+        poses = prob.p0.copy()
+        poses[prob.free_nodes] += rng.uniform(-0.3, 0.3, (len(prob.free_nodes), 3))
+        r, jac = prob._linearize(poses)
+        hess, grad = prob.normal_equations(r, jac)
+        damped = hess + lam * np.eye(prob.n_free)
+        return _schur_step(*prob.block_sums(r, jac), lam), np.linalg.solve(damped, -grad), damped
+
+    def assert_step_matches(self, graph, rtol=1e-9, seed=98):
+        rng = np.random.default_rng(seed)
+        for lam in self.LAMBDAS:
+            got, want, _ = self.dense_and_schur(graph, lam, rng)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(99)
+        for k in range(50):
+            self.assert_step_matches(random_noisy_graph(rng), seed=k)
+
+    @pytest.mark.parametrize(
+        "make_graph",
+        [lambda: two_agent_graph()[0], edgeless_agent_graph, ego_only_graph, repeated_edge_graph],
+        ids=["ego_with_edges", "agent_without_edges", "ego_only", "repeated_edge"],
+    )
+    def test_special_graphs(self, make_graph):
+        self.assert_step_matches(make_graph())
+
+    def test_detached_component(self):
+        # A component detached from the ego leaves JᵀJ singular, so at small
+        # damping both solves carry an error of order cond * eps.
+        rng = np.random.default_rng(100)
+        for lam in self.LAMBDAS:
+            got, want, damped = self.dense_and_schur(detached_graph(), lam, rng)
+            tol = 10.0 * np.linalg.cond(damped) * np.finfo(float).eps
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("make_graph", [ego_only_graph, repeated_edge_graph], ids=["ego_only", "repeated_edge"])
+    def test_block_sums_match_the_dense_jacobian(self, make_graph):
+        # A repeated (agent, object) edge must add to the cross block, not overwrite it.
+        TestNormalEquations().assert_match_dense(make_graph(), np.random.default_rng(101))
+
+    def test_cholesky_only_on_the_reduced_system(self, cholesky_shapes):
+        rng = np.random.default_rng(102)
+        graphs = [acceptance_graph(9), detached_graph(), ego_only_graph(), repeated_edge_graph()]
+        for graph in graphs + [random_noisy_graph(rng) for _ in range(5)]:
+            cholesky_shapes.clear()
+            result = optimize(graph)
+            n = 3 * (len(graph.agent_ids) - 1)
+            assert result.iterations > 0
+            assert set(cholesky_shapes) == {(n, n)}
+
+    def test_ego_only_graph_solves_the_objects(self):
+        # Equal x/y weights and an identity ego: each object's optimum is the
+        # mean of its two measurements.
+        graph = ego_only_graph()
+        result = optimize(graph)
+        assert result.converged
+        for k, obj in enumerate(result.object_poses):
+            zs = [e.measurement for e in graph.edges if e.object_index == k]
+            want = (sum(z.x for z in zs) / 2, sum(z.y for z in zs) / 2, sum(z.theta for z in zs) / 2)
+            np.testing.assert_allclose(obj.as_tuple(), want, atol=1e-9)
+        assert result.agent_poses["ego"] == graph.agent_poses[0]
+
+
+class TestTermination:
+    def test_nothing_to_solve(self):
+        graph = PoseGraph(("ego",), (Pose2(3.0, 4.0, 1.0),), 0, (), ())
+        result = optimize(graph)
+        assert (result.termination, result.converged, result.iterations, result.rejected_steps) == (
+            "nothing_to_solve", True, 0, 0,
+        )
+
+    def test_gradient_tol(self):
+        objs = [Pose2(4.0, 4.0, 0.3), Pose2(12.0, -3.0, -0.8)]
+        messages = [exact_message("a0", Pose2.identity(), objs), exact_message("a1", Pose2(8.0, 2.0, 0.5), objs)]
+        result = optimize(build_pose_graph(messages, "a0"))
+        assert (result.termination, result.converged, result.iterations) == ("gradient_tol", True, 0)
+
+    def test_decrease_tol(self):
+        result = optimize(random_noisy_graph(np.random.default_rng(5)))
+        assert (result.termination, result.converged, result.rejected_steps) == ("decrease_tol", True, 0)
+        assert result.iterations == len(result.objective_trace) - 1
+
+    @pytest.mark.parametrize("scene_idx", [9, 41])
+    def test_no_step_accepted(self, cholesky_shapes, scene_idx):
+        result = optimize(acceptance_graph(scene_idx))
+        assert (result.termination, result.converged) == ("no_step_accepted", True)
+        # The last iteration's trial was rejected and added nothing to the trace.
+        assert result.iterations == len(result.objective_trace)
+        assert result.rejected_steps == len(cholesky_shapes) - (len(result.objective_trace) - 1) == 1
+
+    @pytest.mark.parametrize("make_graph", [lambda: random_noisy_graph(np.random.default_rng(5)), ego_only_graph])
+    def test_max_iterations(self, make_graph):
+        result = optimize(make_graph(), SolverParams(max_iterations=1))
+        assert (result.termination, result.converged, result.iterations) == ("max_iterations", False, 1)
+        assert len(result.objective_trace) == 2
 
 
 class TestRelativePoses:
