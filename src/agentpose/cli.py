@@ -172,6 +172,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     graph = build_pose_graph(messages, ego, center_gap=config.cluster_gap)
     result = optimize(graph, config.solver)
     rel = relative_poses(result.agent_poses, ego)
+    boxes = sum(len(m.boxes) for m in messages)
     payload = {
         "type": "solve_result",
         "version": 1,
@@ -186,6 +187,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "termination": result.termination,
         "rejected_steps": result.rejected_steps,
         "objective_trace": list(result.objective_trace),
+        "graph": {
+            "objects": len(graph.object_poses),
+            "edges": len(graph.edges),
+            "boxes": boxes,
+            "pruned_boxes": boxes - len(graph.edges),
+        },
     }
     if args.out:
         try:

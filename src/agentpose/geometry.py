@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,12 +31,15 @@ def normalize_angle(theta: float) -> float:
 
 
 def wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """Vectorized normalize_angle; values already in (-pi, pi] pass through exactly."""
+    """Vectorized normalize_angle, bit for bit; values already in (-pi, pi] pass through exactly."""
     out = np.asarray(angles, dtype=float).copy()
     need = (out > math.pi) | (out <= -math.pi)
     if np.any(need):
-        w = np.mod(out[need] + math.pi, TWO_PI) - math.pi
-        w[w <= -math.pi] = math.pi
+        w = np.fmod(out[need], TWO_PI)
+        low = w <= -math.pi
+        high = w > math.pi
+        w[low] += TWO_PI
+        w[high] -= TWO_PI
         out[need] = w
     return out
 
@@ -73,6 +77,27 @@ def compose(a: Pose2, b: Pose2) -> Pose2:
         a.y + s * b.x + c * b.y,
         a.theta + b.theta,
     )
+
+
+def compose_columns(
+    frames: Sequence[Pose2], owner: np.ndarray, x: np.ndarray, y: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """compose(frames[owner[i]], Pose2(x[i], y[i], theta[i])) for every i, as three columns.
+
+    Each frame's cosine and sine come from math.cos and math.sin once, and the
+    products and sums run in compose's order, so every entry has the bits of
+    the scalar compose. Raises ValueError, as Pose2 does, if a translation is
+    not finite.
+    """
+    fx, fy, ft, c, s = np.array(
+        [(f.x, f.y, f.theta, math.cos(f.theta), math.sin(f.theta)) for f in frames], dtype=float
+    ).reshape(-1, 5)[owner].T
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as the ValueError below
+        gx = fx + c * x - s * y
+        gy = fy + s * x + c * y
+    if not (np.isfinite(gx).all() and np.isfinite(gy).all()):
+        raise ValueError("pose translation must be finite")
+    return gx, gy, wrap_angles(ft + theta)
 
 
 def inverse(p: Pose2) -> Pose2:

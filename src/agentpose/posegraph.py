@@ -15,8 +15,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Pose2, compose, inverse, wrap_angles
-from .uncertainty import BoxDetection, InfoMatrix3, information_matrix, transform_box
+from .geometry import Pose2, compose, compose_columns, inverse, wrap_angles
+# transform_box is not called here; it stays bound because the traced
+# benchmark run (perfbench/tracing.py) rebinds both names in this module.
+from .uncertainty import BoxDetection, InfoMatrix3, information_matrix, transform_box  # noqa: F401
 
 DEFAULT_CLUSTER_GAP = 2.0
 
@@ -122,13 +124,18 @@ class SolveResult:
     rejected_steps: int
 
 
-def _components(xs: np.ndarray, ys: np.ndarray, gap2: float) -> list[list[int]]:
+def _components(xs: np.ndarray, ys: np.ndarray, gap2: float) -> np.ndarray:
     """Connected components of the points linked by squared distance below gap2.
 
-    Components are ordered by smallest member, members ascending. Candidate
+    Returns each point's root: the smallest index in its component. Candidate
     partners come from a sort by x: a linked pair is less than the gap apart
     in x, so each point's candidates are the points after it in x order up to
     x + gap. The squared-distance test then runs on all candidates at once.
+    Roots are then merged over the linked pairs in rounds: every pair whose
+    ends still have different roots hooks the larger root to the smaller, and
+    pointers are followed until each point holds a root. Each round with an
+    unmerged pair removes a root, so the loop ends, and the smallest member
+    of a component is never hooked, so it is the component's root.
     """
     n = len(xs)
     order = np.argsort(xs, kind="stable")
@@ -143,23 +150,49 @@ def _components(xs: np.ndarray, ys: np.ndarray, gap2: float) -> list[list[int]]:
     second = np.arange(len(first)) + np.repeat(reach - np.cumsum(counts), counts)
     linked = (sx[second] - sx[first]) ** 2 + (sy[second] - sy[first]) ** 2 < gap2
 
-    parent = list(range(n))
+    root = np.arange(n)
+    i, j = order[first[linked]], order[second[linked]]
+    while i.size:
+        ri, rj = root[i], root[j]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        while True:
+            hop = root[root]
+            if np.array_equal(hop, root):
+                break
+            root = hop
+        open_pair = root[i] != root[j]
+        i, j = i[open_pair], j[open_pair]
+    return root
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i, j in zip(order[first[linked]].tolist(), order[second[linked]].tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
+def _cluster_labels(
+    xs: np.ndarray, ys: np.ndarray, agent: np.ndarray, confidence: np.ndarray, center_gap: float
+) -> np.ndarray:
+    """Cluster number of every box, clusters numbered by smallest member (see cluster_boxes).
 
-    components: dict[int, list[int]] = {}
-    for i in range(n):
-        components.setdefault(find(i), []).append(i)
-    return list(components.values())
+    Same-agent duplicates are found for all components in one lexsort by
+    component, agent, descending confidence and index: the first box of each
+    (component, agent) run is kept and the rest become singletons. Linked
+    points lie in one component, so the boxes kept in all the components that
+    lost a box are split again by one more _components call.
+    """
+    if center_gap <= 0.0:
+        raise ValueError(f"center_gap must be positive, got {center_gap!r}")
+    gap2 = center_gap * center_gap
+    root = _components(xs, ys, gap2)
+    order = np.lexsort((np.arange(len(xs)), -confidence, agent, root))
+    dup = np.zeros(len(xs), dtype=bool)
+    dup[1:] = (root[order[1:]] == root[order[:-1]]) & (agent[order[1:]] == agent[order[:-1]])
+    dropped = order[dup]
+    if dropped.size:
+        lost = np.zeros(len(xs), dtype=bool)
+        lost[root[dropped]] = True
+        kept = lost[root]
+        kept[dropped] = False
+        root[dropped] = dropped
+        sub = np.flatnonzero(kept)
+        root[sub] = sub[_components(xs[sub], ys[sub], gap2)]
+    return np.unique(root, return_inverse=True)[1]
 
 
 def cluster_boxes(
@@ -177,31 +210,43 @@ def cluster_boxes(
     therefore connected under center_gap and holds at most one box per agent.
     Clusters are ordered by smallest member index, members ascending.
     """
-    if center_gap <= 0.0:
-        raise ValueError(f"center_gap must be positive, got {center_gap!r}")
-    if not global_boxes:
+    codes: dict[str, int] = {}
+    labels = _cluster_labels(
+        np.array([b.cx for _, b in global_boxes], dtype=float),
+        np.array([b.cy for _, b in global_boxes], dtype=float),
+        np.array([codes.setdefault(a, len(codes)) for a, _ in global_boxes], dtype=np.intp),
+        np.array([b.confidence for _, b in global_boxes], dtype=float),
+        center_gap,
+    )
+    if not labels.size:
         return []
-    xs = np.array([b.cx for _, b in global_boxes])
-    ys = np.array([b.cy for _, b in global_boxes])
-    gap2 = center_gap * center_gap
+    order = np.argsort(labels, kind="stable")
+    return [part.tolist() for part in np.split(order, np.cumsum(np.bincount(labels))[:-1])]
 
-    clusters: list[list[int]] = []
-    for members in _components(xs, ys, gap2):
-        by_agent: dict[str, list[int]] = {}
-        for i in members:
-            by_agent.setdefault(global_boxes[i][0], []).append(i)
-        kept: list[int] = []
-        for indices in by_agent.values():
-            best = max(indices, key=lambda i: (global_boxes[i][1].confidence, -i))
-            kept.append(best)
-            clusters.extend([i] for i in indices if i != best)
-        kept.sort()
-        if len(kept) == len(members):
-            clusters.append(kept)
-        else:
-            clusters.extend([kept[k] for k in part] for part in _components(xs[kept], ys[kept], gap2))
-    clusters.sort(key=lambda c: c[0])
-    return clusters
+
+def _seed_poses(
+    gx: np.ndarray, gy: np.ndarray, gt: np.ndarray, var: np.ndarray, obj: np.ndarray, n_objects: int
+) -> list[Pose2]:
+    """Initial object poses from lifted member boxes, object obj[i] for box i.
+
+    Each center coordinate is the inverse-variance weighted mean of the
+    members' global centers; the heading is the circular mean of the global
+    headings weighted by inverse heading variance. var holds the var_x, var_y
+    and var_theta columns. The sums run over the boxes in the given order.
+    """
+    w = 1.0 / var
+    sums = [
+        np.bincount(obj, weights, n_objects).tolist()
+        for weights in (
+            w[:, 0] * gx,
+            w[:, 0],
+            w[:, 1] * gy,
+            w[:, 1],
+            w[:, 2] * np.array([math.sin(t) for t in gt.tolist()]),
+            w[:, 2] * np.array([math.cos(t) for t in gt.tolist()]),
+        )
+    ]
+    return [Pose2(sx / swx, sy / swy, math.atan2(ss, sc)) for sx, swx, sy, swy, ss, sc in zip(*sums)]
 
 
 def init_object_pose(members: Sequence[tuple[BoxDetection, Pose2]]) -> Pose2:
@@ -213,20 +258,10 @@ def init_object_pose(members: Sequence[tuple[BoxDetection, Pose2]]) -> Pose2:
     """
     if not members:
         raise ValueError("cluster must be non-empty")
-    sx = sy = swx = swy = 0.0
-    sin_acc = cos_acc = 0.0
-    for box, owner in members:
-        g = compose(owner, box.local_pose())
-        wx = 1.0 / box.var_x
-        wy = 1.0 / box.var_y
-        wt = 1.0 / box.var_theta
-        sx += wx * g.x
-        sy += wy * g.y
-        swx += wx
-        swy += wy
-        sin_acc += wt * math.sin(g.theta)
-        cos_acc += wt * math.cos(g.theta)
-    return Pose2(sx / swx, sy / swy, math.atan2(sin_acc, cos_acc))
+    cols = np.array([(b.cx, b.cy, b.theta, b.var_x, b.var_y, b.var_theta) for b, _ in members])
+    n = len(members)
+    gx, gy, gt = compose_columns([p for _, p in members], np.arange(n), cols[:, 0], cols[:, 1], cols[:, 2])
+    return _seed_poses(gx, gy, gt, cols[:, 3:], np.zeros(n, dtype=np.intp), 1)[0]
 
 
 def build_pose_graph(
@@ -240,7 +275,10 @@ def build_pose_graph(
     clustered, and every cluster seen by at least two agents becomes an object
     node (single-view clusters constrain nothing pairwise and are pruned).
     Node and edge order depend only on agent ids and box order, so permuting
-    the input messages yields an identical graph.
+    the input messages yields an identical graph. The boxes go through the
+    lift, the clustering and the object seeds as columns; the result is the
+    one that lifting each box with transform_box, cluster_boxes and
+    init_object_pose per cluster would give.
     """
     ids = [m.agent_id for m in messages]
     if len(set(ids)) != len(ids):
@@ -248,32 +286,31 @@ def build_pose_graph(
     if ego_id not in ids:
         raise ValueError(f"ego agent {ego_id!r} not present in messages")
     ordered = sorted(messages, key=lambda m: m.agent_id)
-    agent_index = {m.agent_id: i for i, m in enumerate(ordered)}
+    boxes = [b for m in ordered for b in m.boxes]
+    owner = np.repeat(np.arange(len(ordered)), [len(m.boxes) for m in ordered])
+    cols = np.array(
+        [(b.cx, b.cy, b.theta, b.var_x, b.var_y, b.var_theta, b.confidence) for b in boxes], dtype=float
+    ).reshape(-1, 7)
+    gx, gy, gt = compose_columns([m.measured_pose for m in ordered], owner, cols[:, 0], cols[:, 1], cols[:, 2])
+    labels = _cluster_labels(gx, gy, owner, cols[:, 6], center_gap)
 
-    flat: list[tuple[int, BoxDetection]] = []
-    global_boxes: list[tuple[str, BoxDetection]] = []
-    for m in ordered:
-        for box in m.boxes:
-            flat.append((agent_index[m.agent_id], box))
-            global_boxes.append((m.agent_id, transform_box(box, m.measured_pose)))
+    # Object nodes are the clusters of two or more boxes, in cluster order;
+    # edges run over them in that order, members ascending.
+    is_object = np.bincount(labels) >= 2
+    member = np.flatnonzero(is_object[labels])
+    member = member[np.argsort(labels[member], kind="stable")]
+    obj = (np.cumsum(is_object) - 1)[labels[member]]
+    object_poses = _seed_poses(gx[member], gy[member], gt[member], cols[member, 3:6], obj, int(is_object.sum()))
+    edges = [
+        GraphEdge(a, o, boxes[i].local_pose(), information_matrix(boxes[i]))
+        for i, a, o in zip(member.tolist(), owner[member].tolist(), obj.tolist())
+    ]
 
-    object_poses: list[Pose2] = []
-    edges: list[GraphEdge] = []
-    for cluster in cluster_boxes(global_boxes, center_gap):
-        if len(cluster) < 2:
-            continue
-        obj_idx = len(object_poses)
-        object_poses.append(
-            init_object_pose([(flat[i][1], ordered[flat[i][0]].measured_pose) for i in cluster])
-        )
-        for i in cluster:
-            a_idx, box = flat[i]
-            edges.append(GraphEdge(a_idx, obj_idx, box.local_pose(), information_matrix(box)))
-
+    agent_ids = tuple(m.agent_id for m in ordered)
     return PoseGraph(
-        agent_ids=tuple(m.agent_id for m in ordered),
+        agent_ids=agent_ids,
         agent_poses=tuple(m.measured_pose for m in ordered),
-        ego_index=agent_index[ego_id],
+        ego_index=agent_ids.index(ego_id),
         object_poses=tuple(object_poses),
         edges=tuple(edges),
     )

@@ -1,5 +1,6 @@
-"""Shared test scaffolding: randomized problem instances and the independent
-least-squares solve used to cross-check the optimizer."""
+"""Shared test scaffolding: randomized problem instances, the independent
+least-squares solve used to cross-check the optimizer and the scalar graph
+build that the columnar one is checked against."""
 
 import math
 
@@ -56,3 +57,76 @@ def independent_solver_objective(graph: PoseGraph) -> float:
     x0 = np.array([all_poses[node] for node in free_nodes], dtype=float).ravel()
     sol = least_squares(fun, x0, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=50000)
     return 2.0 * sol.cost
+
+
+def _scalar_components(points, members, gap2):
+    """Connected components of members under squared distance below gap2, by an all-pairs scan."""
+    label = {i: i for i in members}
+    for a, i in enumerate(members):
+        for j in members[a + 1:]:
+            (xi, yi), (xj, yj) = points[i], points[j]
+            if (xj - xi) ** 2 + (yj - yi) ** 2 < gap2 and label[i] != label[j]:
+                old, new = label[j], label[i]
+                label = {k: new if v == old else v for k, v in label.items()}
+    groups: dict[int, list[int]] = {}
+    for i in members:
+        groups.setdefault(label[i], []).append(i)
+    return list(groups.values())
+
+
+def scalar_build_oracle(messages, ego_id, center_gap=2.0) -> PoseGraph:
+    """The graph build one box at a time, from compose alone.
+
+    Every box is lifted with compose through its sender's measured pose. The
+    clusters are the connected components under center_gap; in each, a
+    same-agent duplicate other than the most confident box (ties to the lowest
+    index) becomes a singleton, and a component that lost a box is split into
+    the components of the boxes it kept. Each cluster of two or more boxes is
+    an object, seeded by a scalar loop over its members in ascending order.
+    """
+    if center_gap <= 0.0:
+        raise ValueError("center_gap must be positive")
+    ordered = sorted(messages, key=lambda m: m.agent_id)
+    flat = [(a, box) for a, m in enumerate(ordered) for box in m.boxes]
+    lifted = [compose(ordered[a].measured_pose, box.local_pose()) for a, box in flat]
+    points = [(g.x, g.y) for g in lifted]
+    gap2 = center_gap * center_gap
+
+    clusters = []
+    for members in _scalar_components(points, list(range(len(flat))), gap2):
+        best = {}
+        for i in members:
+            a = flat[i][0]
+            if a not in best or flat[i][1].confidence > flat[best[a]][1].confidence:
+                best[a] = i
+        kept = sorted(best.values())
+        clusters.extend([i] for i in members if i not in kept)
+        clusters.extend(_scalar_components(points, kept, gap2))
+    clusters.sort(key=lambda c: c[0])
+
+    object_poses, edges = [], []
+    for cluster in clusters:
+        if len(cluster) < 2:
+            continue
+        sx = sy = swx = swy = sin_acc = cos_acc = 0.0
+        for i in cluster:
+            box, g = flat[i][1], lifted[i]
+            wx, wy, wt = 1.0 / box.var_x, 1.0 / box.var_y, 1.0 / box.var_theta
+            sx += wx * g.x
+            sy += wy * g.y
+            swx += wx
+            swy += wy
+            sin_acc += wt * math.sin(g.theta)
+            cos_acc += wt * math.cos(g.theta)
+        for i in cluster:
+            a, box = flat[i]
+            info = InfoMatrix3(1.0 / box.var_x, 1.0 / box.var_y, 1.0 / box.var_theta)
+            edges.append(GraphEdge(a, len(object_poses), box.local_pose(), info))
+        object_poses.append(Pose2(sx / swx, sy / swy, math.atan2(sin_acc, cos_acc)))
+    return PoseGraph(
+        agent_ids=tuple(m.agent_id for m in ordered),
+        agent_poses=tuple(m.measured_pose for m in ordered),
+        ego_index=[m.agent_id for m in ordered].index(ego_id),
+        object_poses=tuple(object_poses),
+        edges=tuple(edges),
+    )

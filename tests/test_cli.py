@@ -115,6 +115,26 @@ class TestSolve:
         assert payload["rejected_steps"] == result.rejected_steps
         assert payload["termination"] in ("gradient_tol", "decrease_tol", "no_step_accepted")
 
+    def test_reports_graph_counts(self, tmp_path):
+        _, scene_path = run_generate(tmp_path, seed=5)
+        outs = [tmp_path / "solve1.json", tmp_path / "solve2.json"]
+        for out in outs:
+            assert main(["solve", "--scene", str(scene_path), "--seed", "11", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        payload = load_json(str(outs[0]))
+
+        scene = scene_from_dict(load_json(str(scene_path)))
+        messages = make_messages(scene, NoiseSpec(trans_scale=0.6, rot_scale=0.6), DetectorSpec(), 11)
+        graph = build_pose_graph(messages, scene.agents[0].agent_id)
+        boxes = sum(len(m.boxes) for m in messages)
+        assert payload["graph"] == {
+            "objects": len(graph.object_poses),
+            "edges": len(graph.edges),
+            "boxes": boxes,
+            "pruned_boxes": boxes - len(graph.edges),
+        }
+        assert 0 < payload["graph"]["objects"] < payload["graph"]["edges"] <= boxes
+
     def test_unknown_ego_rejected(self, tmp_path, capsys):
         _, scene_path = run_generate(tmp_path, seed=3)
         rc = main(["solve", "--scene", str(scene_path), "--ego", "ghost", "--seed", "0"])

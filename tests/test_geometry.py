@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from agentpose.geometry import (
+    TWO_PI,
     OrientedBox2,
     Pose2,
     compose,
+    compose_columns,
     consistency_error,
     inverse,
     normalize_angle,
@@ -57,11 +59,45 @@ class TestNormalizeAngle:
                 normalize_angle(bad)
 
     def test_wrap_angles_matches_scalar(self):
+        # Bit for bit, sign of zero included: sums of two in-range angles,
+        # wider values and the wrap boundaries with their neighbours.
         rng = np.random.default_rng(12)
-        values = rng.uniform(-30, 30, size=500)
-        wrapped = wrap_angles(values)
-        for t, w in zip(values, wrapped):
-            assert w == pytest.approx(normalize_angle(float(t)), abs=1e-12)
+        edges = [math.pi, -math.pi, TWO_PI, -TWO_PI, 0.0, -0.0, 3 * math.pi, -3 * math.pi, 1e12, -1e12]
+        near = [math.nextafter(v, d) for v in edges for d in (-math.inf, math.inf)]
+        values = np.concatenate([
+            rng.uniform(-math.pi, math.pi, (100_000, 2)).sum(axis=1),
+            rng.uniform(-30, 30, 20_000),
+            edges,
+            near,
+        ])
+        want = np.array([normalize_angle(float(t)) for t in values])
+        assert np.array_equal(wrap_angles(values).view(np.int64), want.view(np.int64))
+
+
+class TestComposeColumns:
+    def test_bit_identical_to_compose(self):
+        rng = np.random.default_rng(14)
+        frames = [random_pose(rng, span=200.0) for _ in range(5)] + [Pose2(1.0, 2.0, math.pi)]
+        owner = rng.integers(0, len(frames), 2000)
+        x, y = rng.uniform(-80, 80, 2000), rng.uniform(-80, 80, 2000)
+        theta = rng.uniform(-math.pi, math.pi, 2000)
+        theta[:4] = (math.pi, -0.0, 0.0, math.nextafter(-math.pi, 0.0))
+        gx, gy, gt = compose_columns(frames, owner, x, y, theta)
+        want = np.array([
+            compose(frames[a], Pose2(float(bx), float(by), float(bt))).as_tuple()
+            for a, bx, by, bt in zip(owner, x, y, theta)
+        ])
+        got = np.column_stack([gx, gy, gt])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_empty(self):
+        empty = np.zeros(0)
+        gx, gy, gt = compose_columns([], np.zeros(0, dtype=int), empty, empty, empty)
+        assert gx.shape == gy.shape == gt.shape == (0,)
+
+    def test_rejects_non_finite_translation(self):
+        with pytest.raises(ValueError):
+            compose_columns([Pose2(1e308, 0.0, 0.0)], np.zeros(1, dtype=int), np.array([1e308]), np.zeros(1), np.zeros(1))
 
 
 class TestPose2:

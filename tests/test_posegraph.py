@@ -29,7 +29,7 @@ from agentpose.posegraph import (
 from agentpose.scenario import derive_seed, generate_scene, make_messages
 from agentpose.uncertainty import BoxDetection, InfoMatrix3
 
-from helpers import independent_solver_objective, random_noisy_graph
+from helpers import independent_solver_objective, random_noisy_graph, scalar_build_oracle
 
 
 def make_box(cx, cy, theta=0.0, var_x=0.04, var_y=0.04, var_theta=0.01, confidence=0.8, agent_id="a"):
@@ -137,13 +137,11 @@ class TestClusterBoxes:
                     if (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 < gap2 and label[i] != label[j]:
                         old, new = label[j], label[i]
                         label = [new if v == old else v for v in label]
-            groups: dict[int, list[int]] = {}
-            for i in range(n):
-                groups.setdefault(label[i], []).append(i)
-            return sorted(groups.values(), key=lambda c: c[0])
+            # Each point's root: the smallest index in its component.
+            return [label.index(label[i]) for i in range(n)]
 
-        assert _components(np.array([0.0, 2.0 - 1e-12]), np.zeros(2), 4.0) == [[0, 1]]
-        assert _components(np.array([2.0, 0.0]), np.zeros(2), 4.0) == [[0], [1]]
+        assert _components(np.array([0.0, 2.0 - 1e-12]), np.zeros(2), 4.0).tolist() == [0, 0]
+        assert _components(np.array([2.0, 0.0]), np.zeros(2), 4.0).tolist() == [0, 1]
         rng = np.random.default_rng(83)
         for _ in range(300):
             n = int(rng.integers(0, 40))
@@ -152,7 +150,7 @@ class TestClusterBoxes:
             else:
                 xs, ys = rng.uniform(-10, 10, n), rng.uniform(-10, 10, n)
             for gap in (1.0, 1.5, 2.0):
-                assert _components(xs, ys, gap * gap) == all_pairs(xs, ys, gap * gap)
+                assert _components(xs, ys, gap * gap).tolist() == all_pairs(xs, ys, gap * gap)
 
     def test_rejects_bad_gap(self):
         with pytest.raises(ValueError):
@@ -278,6 +276,105 @@ class TestBuildPoseGraph:
                 object_poses=(Pose2(1, 0, 0),),
                 edges=(GraphEdge(0, 0, Pose2(1, 0, 0), InfoMatrix3.identity()),),
             )
+
+
+def random_messages(rng, n_agents, max_boxes=8, span=6.0):
+    """Messages with boxes crowded enough to form multi-view clusters, same-agent
+    duplicates and confidence ties; in shuffled order."""
+    messages = []
+    for k in range(n_agents):
+        boxes = tuple(
+            make_box(
+                float(rng.uniform(-span, span)), float(rng.uniform(-span, span)),
+                float(rng.uniform(-math.pi, math.pi)),
+                var_x=float(rng.uniform(0.01, 0.2)), var_y=float(rng.uniform(0.01, 0.2)),
+                var_theta=float(rng.uniform(0.001, 0.05)),
+                confidence=float(rng.choice([0.5, 0.7, 0.9])), agent_id=f"a{k}",
+            )
+            for _ in range(int(rng.integers(0, max_boxes + 1)))
+        )
+        pose = Pose2(*rng.uniform(-3.0, 3.0, 2), rng.uniform(-math.pi, math.pi))
+        messages.append(AgentMessage(f"a{k}", pose, boxes))
+    return [messages[i] for i in rng.permutation(n_agents)]
+
+
+class TestBuildMatchesScalarOracle:
+    def test_random_messages(self):
+        rng = np.random.default_rng(91)
+        objects = 0
+        for _ in range(300):
+            messages = random_messages(rng, int(rng.integers(1, 6)))
+            ego = messages[int(rng.integers(len(messages)))].agent_id
+            gap = float(rng.choice([1.0, 2.0, 3.0]))
+            graph = build_pose_graph(messages, ego, center_gap=gap)
+            assert graph == scalar_build_oracle(messages, ego, center_gap=gap)
+            objects += len(graph.object_poses)
+        assert objects > 300
+
+    def test_acceptance_shape_scenes(self):
+        config = BenchmarkConfig(seed=91, noise_grid=((0.6, 0.6),))
+        for k in range(20):
+            scene = generate_scene(
+                config.num_agents, config.num_objects, area=config.area, seed=derive_seed(91, "scene", k),
+                extent=config.extent, min_object_gap=config.min_object_gap,
+            )
+            messages = make_messages(scene, config.noise_at(0), config.detector, derive_seed(91, "msgs", k))
+            ego = scene.agents[0].agent_id
+            assert build_pose_graph(messages, ego) == scalar_build_oracle(messages, ego)
+
+    def test_confidence_tie_keeps_the_lowest_index(self):
+        messages = [
+            AgentMessage("a", Pose2.identity(), (make_box(0.5, 0.0, agent_id="a"), make_box(0.0, 0.0, agent_id="a"))),
+            AgentMessage("b", Pose2.identity(), (make_box(0.2, 0.0, agent_id="b"),)),
+        ]
+        graph = build_pose_graph(messages, "a")
+        assert graph == scalar_build_oracle(messages, "a")
+        assert [(e.agent_index, e.measurement.x) for e in graph.edges] == [(0, 0.5), (1, 0.2)]
+
+    def test_agent_without_boxes(self):
+        objs = [Pose2(4.0, 4.0, 0.3), Pose2(12.0, -3.0, -0.8)]
+        messages = [
+            exact_message("a0", Pose2.identity(), objs),
+            AgentMessage("a1", Pose2(3.0, 1.0, 0.2), ()),
+            exact_message("a2", Pose2(8.0, 2.0, 0.5), objs),
+        ]
+        graph = build_pose_graph(messages, "a1")
+        assert graph == scalar_build_oracle(messages, "a1")
+        assert len(graph.edges) == 4 and all(e.agent_index != 1 for e in graph.edges)
+
+    def test_no_boxes_at_all(self):
+        messages = [AgentMessage("a0", Pose2.identity(), ()), AgentMessage("a1", Pose2(1.0, 0.0, 0.0), ())]
+        graph = build_pose_graph(messages, "a0")
+        assert graph == scalar_build_oracle(messages, "a0")
+        assert graph.object_poses == () and graph.edges == ()
+
+    def test_all_singleton_clusters(self):
+        messages = [
+            exact_message("a0", Pose2.identity(), [Pose2(0.0, 0.0, 0.0), Pose2(20.0, 0.0, 1.0)]),
+            exact_message("a1", Pose2(5.0, 5.0, 0.4), [Pose2(40.0, 0.0, 0.0), Pose2(0.0, 40.0, -1.0)]),
+        ]
+        graph = build_pose_graph(messages, "a1")
+        assert graph == scalar_build_oracle(messages, "a1")
+        assert graph.object_poses == () and graph.edges == ()
+
+    def test_non_ego_agent_without_shared_objects(self):
+        shared = [Pose2(4.0, 4.0, 0.3), Pose2(12.0, -3.0, -0.8)]
+        messages = [
+            exact_message("a0", Pose2.identity(), shared),
+            exact_message("a1", Pose2(8.0, 2.0, 0.5), shared),
+            exact_message("a2", Pose2(-6.0, 1.0, -0.4), [Pose2(60.0, 60.0, 0.0)]),
+        ]
+        graph = build_pose_graph(messages, "a0")
+        assert graph == scalar_build_oracle(messages, "a0")
+        assert len(graph.object_poses) == 2 and all(e.agent_index != 2 for e in graph.edges)
+
+    @pytest.mark.parametrize("gap", [0.0, -1.0])
+    def test_rejects_bad_gap(self, gap):
+        objs = [Pose2(4.0, 4.0, 0.3)]
+        messages = [exact_message("a0", Pose2.identity(), objs), exact_message("a1", Pose2(8.0, 2.0, 0.5), objs)]
+        for msgs in (messages, [AgentMessage("a0", Pose2.identity(), ())]):
+            with pytest.raises(ValueError, match="center_gap"):
+                build_pose_graph(msgs, "a0", center_gap=gap)
 
 
 def two_agent_graph(perturb=(0.5, -0.3, 0.1)):
