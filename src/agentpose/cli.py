@@ -189,9 +189,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "objective_trace": list(result.objective_trace),
         "graph": {
             "objects": len(graph.object_poses),
-            "edges": len(graph.edges),
+            "edges": len(graph.measurements),
             "boxes": boxes,
-            "pruned_boxes": boxes - len(graph.edges),
+            "pruned_boxes": boxes - len(graph.measurements),
         },
     }
     if args.out:

@@ -16,9 +16,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import Pose2, compose, compose_columns, inverse, wrap_angles
-# transform_box is not called here; it stays bound because the traced
-# benchmark run (perfbench/tracing.py) rebinds both names in this module.
-from .uncertainty import BoxDetection, InfoMatrix3, information_matrix, transform_box  # noqa: F401
+# information_matrix and transform_box are not called here; both stay bound as names
+# in perfbench/tracing.py's INTERCEPTED table, which rebinds them in this module.
+from .uncertainty import BoxDetection, information_matrix, transform_box  # noqa: F401
 
 DEFAULT_CLUSTER_GAP = 2.0
 
@@ -37,27 +37,36 @@ class AgentMessage:
 
 @dataclass(frozen=True)
 class GraphEdge:
+    """One edge read back from a PoseGraph's columns; info is (w_x, w_y, w_theta)."""
+
     agent_index: int
     object_index: int
     measurement: Pose2
-    info: InfoMatrix3
+    info: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoseGraph:
-    """Bipartite agent-object graph; exactly one agent (the ego) is gauge-fixed."""
+    """Bipartite agent-object graph; exactly one agent (the ego) is gauge-fixed.
+
+    Each edge is one row of three aligned read-only columns: edge_nodes (m, 2)
+    holds its agent and object index, measurements (m, 3) the local box pose
+    (x, y, theta), its heading wrapped as normalize_angle does, and info (m, 3)
+    the diagonal information weight. Equality compares the columns bit for bit.
+    """
 
     agent_ids: tuple[str, ...]
     agent_poses: tuple[Pose2, ...]
     ego_index: int
     object_poses: tuple[Pose2, ...]
-    edges: tuple[GraphEdge, ...]
+    edge_nodes: np.ndarray
+    measurements: np.ndarray
+    info: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "agent_ids", tuple(self.agent_ids))
         object.__setattr__(self, "agent_poses", tuple(self.agent_poses))
         object.__setattr__(self, "object_poses", tuple(self.object_poses))
-        object.__setattr__(self, "edges", tuple(self.edges))
         n_a = len(self.agent_ids)
         if len(self.agent_poses) != n_a:
             raise ValueError("agent_ids and agent_poses must align")
@@ -65,19 +74,39 @@ class PoseGraph:
             raise ValueError("agent ids must be unique")
         if not 0 <= self.ego_index < n_a:
             raise ValueError(f"ego_index {self.ego_index} out of range for {n_a} agents")
-        degree = [0] * len(self.object_poses)
-        for e in self.edges:
-            if not 0 <= e.agent_index < n_a:
-                raise ValueError(f"edge agent index {e.agent_index} out of range")
-            if not 0 <= e.object_index < len(self.object_poses):
-                raise ValueError(f"edge object index {e.object_index} out of range")
-            degree[e.object_index] += 1
-        if any(d < 2 for d in degree):
+        m = len(self.edge_nodes)
+        for name, width, dtype in (("edge_nodes", 2, np.intp), ("measurements", 3, float), ("info", 3, float)):
+            col = np.asarray(getattr(self, name))
+            if col.shape != (m, width) or not np.can_cast(col.dtype, dtype, "same_kind"):
+                raise ValueError(f"{name} must be ({m}, {width}) {np.dtype(dtype)}, got {col.dtype} {col.shape}")
+            object.__setattr__(self, name, col.astype(dtype))
+        if not np.all((0 <= self.edge_nodes) & (self.edge_nodes < (n_a, len(self.object_poses)))):
+            raise ValueError("edge agent or object index out of range")
+        if np.any(np.bincount(self.edge_nodes[:, 1], minlength=len(self.object_poses)) < 2):
             raise ValueError("every object node must have degree >= 2")
+        if not (np.all(np.isfinite(self.measurements)) and np.all((self.info > 0.0) & np.isfinite(self.info))):
+            raise ValueError("edge measurements must be finite and information weights positive and finite")
+        self.measurements[:, 2] = wrap_angles(self.measurements[:, 2])
+        for col in (self.edge_nodes, self.measurements, self.info):
+            col.flags.writeable = False
+
+    def _key(self) -> tuple:
+        # Equal bytes of the fixed-dtype columns mean equal shapes too.
+        return (self.agent_ids, self.agent_poses, self.ego_index, self.object_poses,
+                self.edge_nodes.tobytes(), self.measurements.tobytes(), self.info.tobytes())
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, PoseGraph) else NotImplemented
 
     @property
     def ego_id(self) -> str:
         return self.agent_ids[self.ego_index]
+
+    @property
+    def edges(self) -> tuple[GraphEdge, ...]:
+        """The edges as GraphEdge views, built from the columns on every read."""
+        rows = zip(self.edge_nodes.tolist(), self.measurements.tolist(), self.info.tolist())
+        return tuple(GraphEdge(a, o, Pose2(*z), tuple(w)) for (a, o), z, w in rows)
 
 
 @dataclass(frozen=True)
@@ -225,16 +254,15 @@ def cluster_boxes(
 
 
 def _seed_poses(
-    gx: np.ndarray, gy: np.ndarray, gt: np.ndarray, var: np.ndarray, obj: np.ndarray, n_objects: int
+    gx: np.ndarray, gy: np.ndarray, gt: np.ndarray, w: np.ndarray, obj: np.ndarray, n_objects: int
 ) -> list[Pose2]:
     """Initial object poses from lifted member boxes, object obj[i] for box i.
 
     Each center coordinate is the inverse-variance weighted mean of the
     members' global centers; the heading is the circular mean of the global
-    headings weighted by inverse heading variance. var holds the var_x, var_y
-    and var_theta columns. The sums run over the boxes in the given order.
+    headings weighted by inverse heading variance. w holds the inverse
+    variance columns. The sums run over the boxes in the given order.
     """
-    w = 1.0 / var
     sums = [
         np.bincount(obj, weights, n_objects).tolist()
         for weights in (
@@ -261,7 +289,7 @@ def init_object_pose(members: Sequence[tuple[BoxDetection, Pose2]]) -> Pose2:
     cols = np.array([(b.cx, b.cy, b.theta, b.var_x, b.var_y, b.var_theta) for b, _ in members])
     n = len(members)
     gx, gy, gt = compose_columns([p for _, p in members], np.arange(n), cols[:, 0], cols[:, 1], cols[:, 2])
-    return _seed_poses(gx, gy, gt, cols[:, 3:], np.zeros(n, dtype=np.intp), 1)[0]
+    return _seed_poses(gx, gy, gt, 1.0 / cols[:, 3:], np.zeros(n, dtype=np.intp), 1)[0]
 
 
 def build_pose_graph(
@@ -286,10 +314,10 @@ def build_pose_graph(
     if ego_id not in ids:
         raise ValueError(f"ego agent {ego_id!r} not present in messages")
     ordered = sorted(messages, key=lambda m: m.agent_id)
-    boxes = [b for m in ordered for b in m.boxes]
     owner = np.repeat(np.arange(len(ordered)), [len(m.boxes) for m in ordered])
     cols = np.array(
-        [(b.cx, b.cy, b.theta, b.var_x, b.var_y, b.var_theta, b.confidence) for b in boxes], dtype=float
+        [(b.cx, b.cy, b.theta, b.var_x, b.var_y, b.var_theta, b.confidence) for m in ordered for b in m.boxes],
+        dtype=float,
     ).reshape(-1, 7)
     gx, gy, gt = compose_columns([m.measured_pose for m in ordered], owner, cols[:, 0], cols[:, 1], cols[:, 2])
     labels = _cluster_labels(gx, gy, owner, cols[:, 6], center_gap)
@@ -300,11 +328,8 @@ def build_pose_graph(
     member = np.flatnonzero(is_object[labels])
     member = member[np.argsort(labels[member], kind="stable")]
     obj = (np.cumsum(is_object) - 1)[labels[member]]
-    object_poses = _seed_poses(gx[member], gy[member], gt[member], cols[member, 3:6], obj, int(is_object.sum()))
-    edges = [
-        GraphEdge(a, o, boxes[i].local_pose(), information_matrix(boxes[i]))
-        for i, a, o in zip(member.tolist(), owner[member].tolist(), obj.tolist())
-    ]
+    w = 1.0 / cols[member, 3:6]
+    object_poses = _seed_poses(gx[member], gy[member], gt[member], w, obj, int(is_object.sum()))
 
     agent_ids = tuple(m.agent_id for m in ordered)
     return PoseGraph(
@@ -312,7 +337,9 @@ def build_pose_graph(
         agent_poses=tuple(m.measured_pose for m in ordered),
         ego_index=agent_ids.index(ego_id),
         object_poses=tuple(object_poses),
-        edges=tuple(edges),
+        edge_nodes=np.stack((owner[member], obj), axis=1),
+        measurements=cols[member, :3],
+        info=w,
     )
 
 
@@ -337,14 +364,12 @@ class _Problem:
         self.free_nodes = np.array([i for i in range(self.n_nodes) if i != self.ego], dtype=int)
         self.n_free = 3 * len(self.free_nodes)
         self.p0 = np.array([p.as_tuple() for p in graph.agent_poses + graph.object_poses], dtype=float)
-        m = len(graph.edges)
+        m = len(graph.measurements)
         self.m = m
-        self.ai = np.array([e.agent_index for e in graph.edges], dtype=int)
-        self.oi = np.array([n_a + e.object_index for e in graph.edges], dtype=int)
-        self.zx = np.array([e.measurement.x for e in graph.edges])
-        self.zy = np.array([e.measurement.y for e in graph.edges])
-        self.zt = np.array([e.measurement.theta for e in graph.edges])
-        self.sqrt_w = np.sqrt(np.array([e.info.diagonal() for e in graph.edges], dtype=float)).reshape(m, 3)
+        self.ai = graph.edge_nodes[:, 0]
+        self.oi = n_a + graph.edge_nodes[:, 1]
+        self.zx, self.zy, self.zt = np.ascontiguousarray(graph.measurements.T)
+        self.sqrt_w = np.sqrt(graph.info)
 
         # Free state: the free agents (n_free_agents entries), then the objects.
         # The ego's rows and columns go to one extra agent slot, sliced off.
@@ -580,6 +605,6 @@ def relative_poses(agent_poses: Mapping[str, Pose2], ego_id: str) -> dict[str, P
     return out
 
 
-def with_uniform_info(graph: PoseGraph, info: InfoMatrix3 = InfoMatrix3.identity()) -> PoseGraph:
-    """Copy of the graph with every edge's information matrix replaced."""
-    return replace(graph, edges=tuple(replace(e, info=info) for e in graph.edges))
+def with_uniform_info(graph: PoseGraph) -> PoseGraph:
+    """Copy of the graph with every edge's information weight set to the identity."""
+    return replace(graph, info=np.ones_like(graph.info))

@@ -211,29 +211,6 @@ def transform_box(box: BoxDetection, frame: Pose2) -> BoxDetection:
     return replace(box, cx=p.x, cy=p.y, theta=p.theta)
 
 
-@dataclass(frozen=True)
-class InfoMatrix3:
-    """Diagonal 3x3 information (inverse variance) weight on an (x, y, theta) residual."""
-
-    w_x: float
-    w_y: float
-    w_theta: float
-
-    def __post_init__(self) -> None:
-        for name in ("w_x", "w_y", "w_theta"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"InfoMatrix3.{name} must be positive and finite, got {v!r}")
-            object.__setattr__(self, name, v)
-
-    @staticmethod
-    def identity() -> "InfoMatrix3":
-        return InfoMatrix3(1.0, 1.0, 1.0)
-
-    def diagonal(self) -> tuple[float, float, float]:
-        return (self.w_x, self.w_y, self.w_theta)
-
-
-def information_matrix(box: BoxDetection) -> InfoMatrix3:
-    """Edge weight from a box's reported variances: diag(1/var_x, 1/var_y, 1/var_theta)."""
-    return InfoMatrix3(1.0 / box.var_x, 1.0 / box.var_y, 1.0 / box.var_theta)
+def information_matrix(box: BoxDetection) -> tuple[float, float, float]:
+    """Edge weight from a box's reported variances: the diagonal (1/var_x, 1/var_y, 1/var_theta)."""
+    return (1.0 / box.var_x, 1.0 / box.var_y, 1.0 / box.var_theta)

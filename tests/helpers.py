@@ -1,6 +1,7 @@
-"""Shared test scaffolding: randomized problem instances, the independent
-least-squares solve used to cross-check the optimizer and the scalar graph
-build that the columnar one is checked against."""
+"""Shared test scaffolding: graphs built from per-edge tuples, randomized
+problem instances, the independent least-squares solve used to cross-check
+the optimizer and the scalar graph build that the columnar one is checked
+against."""
 
 import math
 
@@ -9,8 +10,22 @@ from scipy.optimize import least_squares
 
 from agentpose.geometry import Pose2, compose, inverse
 from agentpose.oracles import graph_residual_oracle
-from agentpose.posegraph import GraphEdge, PoseGraph
-from agentpose.uncertainty import InfoMatrix3
+from agentpose.posegraph import PoseGraph
+
+
+def graph_from_edges(agent_ids, agent_poses, ego_index, object_poses, edges) -> PoseGraph:
+    """PoseGraph from edges given one at a time as
+    (agent index, object index, measurement Pose2, (w_x, w_y, w_theta))."""
+    edges = list(edges)
+    return PoseGraph(
+        agent_ids=tuple(agent_ids),
+        agent_poses=tuple(agent_poses),
+        ego_index=ego_index,
+        object_poses=tuple(object_poses),
+        edge_nodes=np.array([(a, o) for a, o, _, _ in edges], dtype=np.intp).reshape(-1, 2),
+        measurements=np.array([z.as_tuple() for _, _, z, _ in edges], dtype=float).reshape(-1, 3),
+        info=np.array([w for _, _, _, w in edges], dtype=float).reshape(-1, 3),
+    )
 
 
 def random_noisy_graph(rng) -> PoseGraph:
@@ -24,20 +39,13 @@ def random_noisy_graph(rng) -> PoseGraph:
         for o_idx, obj in enumerate(objects):
             z = compose(inverse(agent), obj)
             z = Pose2(z.x + rng.normal(0, 0.2), z.y + rng.normal(0, 0.2), z.theta + rng.normal(0, 0.05))
-            info = InfoMatrix3(*rng.uniform(0.5, 5.0, 3))
-            edges.append(GraphEdge(a_idx, o_idx, z, info))
+            edges.append((a_idx, o_idx, z, tuple(rng.uniform(0.5, 5.0, 3))))
     init_objects = [
         Pose2(o.x + rng.normal(0, 0.3), o.y + rng.normal(0, 0.3), o.theta + rng.normal(0, 0.1))
         for o in objects
     ]
     measured = [Pose2(a.x + rng.normal(0, 0.3), a.y + rng.normal(0, 0.3), a.theta + rng.normal(0, 0.1)) for a in agents]
-    return PoseGraph(
-        agent_ids=tuple(f"a{i}" for i in range(n_agents)),
-        agent_poses=tuple(measured),
-        ego_index=0,
-        object_poses=tuple(init_objects),
-        edges=tuple(edges),
-    )
+    return graph_from_edges([f"a{i}" for i in range(n_agents)], measured, 0, init_objects, edges)
 
 
 def independent_solver_objective(graph: PoseGraph) -> float:
@@ -45,10 +53,7 @@ def independent_solver_objective(graph: PoseGraph) -> float:
     free_nodes = [i for i in range(len(graph.agent_ids) + len(graph.object_poses)) if i != graph.ego_index]
     agent_poses = [p.as_tuple() for p in graph.agent_poses]
     object_poses = [p.as_tuple() for p in graph.object_poses]
-    edges = [
-        (e.agent_index, e.object_index, e.measurement.as_tuple(), e.info.diagonal())
-        for e in graph.edges
-    ]
+    edges = [(e.agent_index, e.object_index, e.measurement.as_tuple(), e.info) for e in graph.edges]
 
     def fun(state):
         return graph_residual_oracle(agent_poses, object_poses, edges, state, free_nodes, graph.ego_index)
@@ -120,13 +125,13 @@ def scalar_build_oracle(messages, ego_id, center_gap=2.0) -> PoseGraph:
             cos_acc += wt * math.cos(g.theta)
         for i in cluster:
             a, box = flat[i]
-            info = InfoMatrix3(1.0 / box.var_x, 1.0 / box.var_y, 1.0 / box.var_theta)
-            edges.append(GraphEdge(a, len(object_poses), box.local_pose(), info))
+            info = (1.0 / box.var_x, 1.0 / box.var_y, 1.0 / box.var_theta)
+            edges.append((a, len(object_poses), box.local_pose(), info))
         object_poses.append(Pose2(sx / swx, sy / swy, math.atan2(sin_acc, cos_acc)))
-    return PoseGraph(
-        agent_ids=tuple(m.agent_id for m in ordered),
-        agent_poses=tuple(m.measured_pose for m in ordered),
-        ego_index=[m.agent_id for m in ordered].index(ego_id),
-        object_poses=tuple(object_poses),
-        edges=tuple(edges),
+    return graph_from_edges(
+        [m.agent_id for m in ordered],
+        [m.measured_pose for m in ordered],
+        [m.agent_id for m in ordered].index(ego_id),
+        object_poses,
+        edges,
     )

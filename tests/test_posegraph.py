@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from agentpose.evaluate import BenchmarkConfig
+from agentpose.cli import main
+from agentpose.evaluate import BenchmarkConfig, run_benchmark
 from agentpose.geometry import Pose2, compose, inverse, normalize_angle
 from agentpose.oracles import closure_clusters, graph_residual_oracle
 from agentpose.posegraph import (
@@ -27,9 +28,9 @@ from agentpose.posegraph import (
     with_uniform_info,
 )
 from agentpose.scenario import derive_seed, generate_scene, make_messages
-from agentpose.uncertainty import BoxDetection, InfoMatrix3
+from agentpose.uncertainty import BoxDetection
 
-from helpers import independent_solver_objective, random_noisy_graph, scalar_build_oracle
+from helpers import graph_from_edges, independent_solver_objective, random_noisy_graph, scalar_build_oracle
 
 
 def make_box(cx, cy, theta=0.0, var_x=0.04, var_y=0.04, var_theta=0.01, confidence=0.8, agent_id="a"):
@@ -267,15 +268,97 @@ class TestBuildPoseGraph:
         assert g0.edges == g1.edges
         assert g0.ego_index == 0 and g1.ego_index == 1
 
-    def test_object_degree_invariant(self):
+
+def valid_columns():
+    """Constructor arguments of a valid graph: agents a and b both see objects 0 and 1."""
+    return dict(
+        agent_ids=("a", "b"),
+        agent_poses=(Pose2.identity(), Pose2(1.0, 0.0, 0.0)),
+        ego_index=0,
+        object_poses=(Pose2(2.0, 0.0, 0.0), Pose2(0.0, 3.0, 0.0)),
+        edge_nodes=np.array([[0, 0], [1, 0], [0, 1], [1, 1]]),
+        measurements=np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 3.0, 0.0], [-1.0, 3.0, 0.0]]),
+        info=np.array([[1.0, 2.0, 3.0]] * 4),
+    )
+
+
+def with_entry(name, row, col, value):
+    def make():
+        columns = valid_columns()
+        columns[name] = columns[name].astype(type(value))
+        columns[name][row, col] = value
+        return columns
+    return make
+
+
+def with_column(name, transform):
+    def make():
+        columns = valid_columns()
+        columns[name] = transform(columns[name])
+        return columns
+    return make
+
+
+class TestPoseGraphColumns:
+    @pytest.mark.parametrize(
+        "make_columns",
+        [
+            with_column("measurements", lambda z: z[:3]),
+            with_column("info", lambda w: np.vstack((w, w[:1]))),
+            with_column("edge_nodes", lambda e: e[:, :1]),
+            with_column("info", lambda w: w.ravel()),
+            with_entry("edge_nodes", 1, 0, -1),
+            with_entry("edge_nodes", 1, 0, 2),
+            with_entry("edge_nodes", 2, 1, -1),
+            with_entry("edge_nodes", 2, 1, 2),
+            with_column("edge_nodes", lambda e: e.astype(float)),
+            with_entry("measurements", 0, 0, math.nan),
+            with_entry("measurements", 1, 1, math.inf),
+            with_entry("measurements", 2, 2, -math.inf),
+            with_entry("info", 0, 0, 0.0),
+            with_entry("info", 1, 1, -1.0),
+            with_entry("info", 2, 2, math.inf),
+            with_entry("info", 3, 0, math.nan),
+            with_entry("edge_nodes", 3, 1, 0),
+        ],
+        ids=[
+            "fewer_measurements", "more_info", "one_node_column", "flat_info",
+            "agent_negative", "agent_too_large", "object_negative", "object_too_large", "float_indices",
+            "measurement_nan", "measurement_inf", "heading_minus_inf",
+            "info_zero", "info_negative", "info_inf", "info_nan",
+            "object_degree_1",
+        ],
+    )
+    def test_rejects_invalid_columns(self, make_columns):
         with pytest.raises(ValueError):
-            PoseGraph(
-                agent_ids=("a",),
-                agent_poses=(Pose2.identity(),),
-                ego_index=0,
-                object_poses=(Pose2(1, 0, 0),),
-                edges=(GraphEdge(0, 0, Pose2(1, 0, 0), InfoMatrix3.identity()),),
-            )
+            PoseGraph(**make_columns())
+
+    def test_columns_are_read_only_copies(self):
+        columns = valid_columns()
+        graph = PoseGraph(**columns)
+        for name in ("edge_nodes", "measurements", "info"):
+            with pytest.raises(ValueError):
+                getattr(graph, name)[0, 0] = 1
+            columns[name][0, 0] = 7
+        assert graph == PoseGraph(**valid_columns())
+
+    def test_headings_wrapped_like_normalize_angle(self):
+        headings = [4.0, -4.0, 3 * math.pi, -3 * math.pi, math.pi, -math.pi, 2 * math.pi, 100.0]
+        columns = valid_columns()
+        columns["edge_nodes"] = np.array([[0, 0], [1, 1]] * 4)
+        columns["measurements"] = np.array([[1.0, 2.0, t] for t in headings])
+        columns["info"] = np.ones((8, 3))
+        got = PoseGraph(**columns).measurements[:, 2]
+        assert got.tobytes() == np.array([normalize_angle(t) for t in headings]).tobytes()
+
+    def test_equality_is_bitwise(self):
+        graph = PoseGraph(**valid_columns())
+        assert graph == PoseGraph(**valid_columns())
+        for name, col, value in (("info", 0, np.nextafter(1.0, 2.0)), ("measurements", 1, -0.0)):
+            columns = valid_columns()
+            columns[name][0, col] = value
+            assert graph != PoseGraph(**columns)
+        assert graph.edges[1] == GraphEdge(1, 0, Pose2(1.0, 0.0, 0.0), (1.0, 2.0, 3.0))
 
 
 def random_messages(rng, n_agents, max_boxes=8, span=6.0):
@@ -464,7 +547,7 @@ class TestOptimize:
         want = graph_residual_oracle(
             [p.as_tuple() for p in graph.agent_poses],
             [p.as_tuple() for p in graph.object_poses],
-            [(e.agent_index, e.object_index, e.measurement.as_tuple(), e.info.diagonal()) for e in graph.edges],
+            [(e.agent_index, e.object_index, e.measurement.as_tuple(), e.info) for e in graph.edges],
             poses[prob.free_nodes].ravel(),
             list(prob.free_nodes),
             graph.ego_index,
@@ -490,15 +573,13 @@ class TestOptimize:
         ]
         base = build_pose_graph(messages, "a0")
         # Corrupt one measurement so the system is inconsistent.
-        bad = replace(base.edges[0], measurement=Pose2(
-            base.edges[0].measurement.x + 0.8,
-            base.edges[0].measurement.y - 0.5,
-            base.edges[0].measurement.theta + 0.2,
-        ))
+        bad = base.measurements.copy()
+        bad[0] += (0.8, -0.5, 0.2)
         residual_norms = []
         for boost in (1.0, 10.0, 100.0, 1000.0):
-            info = InfoMatrix3(boost, boost, boost)
-            graph = replace(base, edges=(replace(bad, info=info),) + base.edges[1:])
+            info = base.info.copy()
+            info[0] = boost
+            graph = replace(base, measurements=bad, info=info)
             result = optimize(graph)
             prob = _Problem(graph)
             poses = np.array(
@@ -531,9 +612,11 @@ class TestOptimize:
             SolverParams(damping_decrease=1.5)
 
     def test_uniform_info_override(self):
-        graph, _, _ = two_agent_graph()
+        graph = random_noisy_graph(np.random.default_rng(103))
+        assert np.all(graph.info != 1.0)
         flat = with_uniform_info(graph)
-        assert all(e.info == InfoMatrix3.identity() for e in flat.edges)
+        assert flat == replace(graph, info=np.ones((len(graph.info), 3)))
+        assert all(e.info == (1.0, 1.0, 1.0) for e in flat.edges)
         assert [e.measurement for e in flat.edges] == [e.measurement for e in graph.edges]
 
 
@@ -610,6 +693,19 @@ class TestNormalEquations:
         assert result.converged and result.iterations > 0
         assert result.agent_poses["a1"].x == pytest.approx(true_poses["a1"].x, abs=1e-6)
 
+    def test_hot_path_never_builds_the_edge_view(self, monkeypatch, tmp_path):
+        def refuse(self):
+            raise AssertionError("the GraphEdge view was built")
+
+        monkeypatch.setattr(PoseGraph, "edges", property(refuse))
+        graph, _, _ = two_agent_graph(perturb=(1.0, -0.8, 0.2))
+        assert optimize(graph).iterations > 0 and optimize(with_uniform_info(graph)).iterations > 0
+        result = run_benchmark(BenchmarkConfig(seed=3, scenes=1, noise_grid=((0.6, 0.6),)))
+        assert result.to_dict()
+        scene = str(tmp_path / "scene.json")
+        assert main(["generate", "--seed", "3", "--out", scene]) == 0
+        assert main(["solve", "--scene", scene, "--seed", "3", "--out", str(tmp_path / "solve.json")]) == 0
+
 
 class TestDampingLoop:
     @pytest.mark.parametrize("scene_idx", [9, 41, 75, 76])
@@ -649,20 +745,20 @@ def ego_only_graph():
     """The ego is the only agent and sees each object twice, so no agent is free."""
     objs = [Pose2(4.0, 4.0, 0.3), Pose2(12.0, -3.0, -0.8)]
     edges = [
-        GraphEdge(0, k, Pose2(o.x + dx, o.y + dy, o.theta + dt), InfoMatrix3(2.0, 2.0, 4.0))
+        (0, k, Pose2(o.x + dx, o.y + dy, o.theta + dt), (2.0, 2.0, 4.0))
         for k, o in enumerate(objs)
         for dx, dy, dt in ((0.1, -0.2, 0.05), (-0.15, 0.1, -0.03))
     ]
-    return PoseGraph(("ego",), (Pose2.identity(),), 0, tuple(objs), tuple(edges))
+    return graph_from_edges(("ego",), (Pose2.identity(),), 0, objs, edges)
 
 
 def repeated_edge_graph():
     """two_agent_graph plus a second, different measurement of a1's first edge."""
     graph = two_agent_graph()[0]
-    edge = next(e for e in graph.edges if e.agent_index != graph.ego_index)
-    z = edge.measurement
-    extra = GraphEdge(edge.agent_index, edge.object_index, Pose2(z.x + 0.4, z.y - 0.3, z.theta + 0.1), InfoMatrix3(3.0, 0.5, 2.0))
-    return replace(graph, edges=graph.edges + (extra,))
+    edges = [(e.agent_index, e.object_index, e.measurement, e.info) for e in graph.edges]
+    a, o, z, _ = next(e for e in edges if e[0] != graph.ego_index)
+    extra = (a, o, Pose2(z.x + 0.4, z.y - 0.3, z.theta + 0.1), (3.0, 0.5, 2.0))
+    return graph_from_edges(graph.agent_ids, graph.agent_poses, graph.ego_index, graph.object_poses, edges + [extra])
 
 
 class TestSchurStep:
@@ -737,7 +833,7 @@ class TestSchurStep:
 
 class TestTermination:
     def test_nothing_to_solve(self):
-        graph = PoseGraph(("ego",), (Pose2(3.0, 4.0, 1.0),), 0, (), ())
+        graph = graph_from_edges(("ego",), (Pose2(3.0, 4.0, 1.0),), 0, (), [])
         result = optimize(graph)
         assert (result.termination, result.converged, result.iterations, result.rejected_steps) == (
             "nothing_to_solve", True, 0, 0,

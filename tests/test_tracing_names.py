@@ -1,13 +1,20 @@
-"""The traced benchmark run rebinds package functions by name (perfbench/tracing.py,
-``INTERCEPTED``). A refactor that drops one of those names would only fail at
-``--trace 1``; this test reads the table with ast, without importing the
-benchmark, and checks that every name still resolves on the package."""
+"""The benchmark imports package names (perfbench/tracing.py and
+perfbench/workloads.py) and the traced run rebinds package functions by name
+(perfbench/tracing.py, ``INTERCEPTED``). A refactor that drops one of those
+names would only fail when the benchmark runs; these tests read the names with
+ast, without importing the benchmark, and check that every one still resolves
+on the package."""
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import pytest
+
+import agentpose
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def dotted(node: ast.expr) -> str:
@@ -40,3 +47,17 @@ def test_every_intercepted_name_resolves():
         assert module_name.startswith("agentpose")
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attribute, None)), f"{module_name}.{attribute} is gone"
+
+
+@pytest.mark.parametrize("module", ["tracing.py", "workloads.py"])
+def test_every_imported_name_is_exported(module):
+    tree = ast.parse((PERFBENCH / module).read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "agentpose"
+        for alias in node.names
+    ]
+    assert names
+    missing = [name for name in names if name not in agentpose.__all__]
+    assert not missing, f"perfbench/{module} imports {missing}, not in agentpose.__all__"
