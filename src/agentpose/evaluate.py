@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import OrientedBox2, Pose2, compose, inverse, rotated_iou_bev
+from .geometry import OrientedBox2, Pose2, compose, compose_columns, inverse, overlap_pairs, rotated_iou_bev
 from .posegraph import (
     DEFAULT_CLUSTER_GAP,
     AgentMessage,
@@ -36,7 +36,10 @@ from .scenario import (
     generate_scene,
     make_messages,
 )
-from .uncertainty import BoxDetection, transform_box
+# rotated_iou_bev must be looked up by name here and transform_box stays bound though
+# unused: both are names in perfbench/tracing.py's INTERCEPTED table, which rebinds
+# them in this module.
+from .uncertainty import BoxDetection, transform_box  # noqa: F401
 
 DEFAULT_NMS_IOU = 0.15
 
@@ -70,60 +73,82 @@ def late_fuse(
     rel_poses maps each sender's frame into the ego frame. Candidates are
     ranked by descending confidence with (agent_id, box index) as the tie
     break, so the output does not depend on message order; a candidate is
-    dropped when it overlaps an already kept box at IoU >= nms_iou.
+    dropped when it overlaps an already kept box at IoU >= nms_iou. Boxes are
+    lifted as columns, and rotated_iou_bev runs only on the pairs whose
+    circumcircles may meet: every other pair has IoU 0.
     """
     if not 0.0 < nms_iou <= 1.0:
         raise ValueError(f"nms_iou must be in (0, 1], got {nms_iou!r}")
-    missing = [m.agent_id for m in messages if m.agent_id not in rel_poses]
+    ids = [m.agent_id for m in messages]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate agent_id in messages")
+    missing = [a for a in ids if a not in rel_poses]
     if missing:
         raise ValueError(f"relative poses missing for agents {missing}")
-    candidates = [
-        (-box.confidence, m.agent_id, k, transform_box(box, rel_poses[m.agent_id]))
-        for m in messages
-        for k, box in enumerate(m.boxes)
+    ranked = sorted(
+        (-box.confidence, m.agent_id, k, a) for a, m in enumerate(messages) for k, box in enumerate(m.boxes)
+    )
+    boxes = [messages[a].boxes[k] for _, _, k, a in ranked]
+    cols = np.array([(b.cx, b.cy, b.theta, b.length, b.width) for b in boxes], dtype=float).reshape(-1, 5)
+    gx, gy, gt = compose_columns(
+        [rel_poses[a] for a in ids], np.array([a for *_, a in ranked], dtype=np.intp), cols[:, 0], cols[:, 1], cols[:, 2]
+    )
+    first, second = overlap_pairs(gx, gy, 0.5 * np.hypot(cols[:, 3], cols[:, 4]))
+    # Candidates are indexed by rank, so each pair's first end outranks its second.
+    above: list[list[int]] = [[] for _ in boxes]
+    for i, j in zip(first.tolist(), second.tolist()):
+        above[j].append(i)
+    fp = {
+        i: OrientedBox2(float(gx[i]), float(gy[i]), boxes[i].length, boxes[i].width, float(gt[i]))
+        for i in set(first.tolist()) | set(second.tolist())
+    }
+    keep = [False] * len(boxes)
+    for j, partners in enumerate(above):
+        keep[j] = all(rotated_iou_bev(fp[j], fp[i]) < nms_iou for i in partners if keep[i])
+    return [
+        replace(boxes[i], cx=float(gx[i]), cy=float(gy[i]), theta=float(gt[i]))
+        for i in range(len(boxes))
+        if keep[i]
     ]
-    candidates.sort(key=lambda c: c[:3])
-    kept: list[BoxDetection] = []
-    kept_fp: list[OrientedBox2] = []
-    for _, _, _, box in candidates:
-        fp = box.footprint()
-        if all(rotated_iou_bev(fp, other) < nms_iou for other in kept_fp):
-            kept.append(box)
-            kept_fp.append(fp)
-    return kept
 
 
-def average_precision(
-    detections: Sequence[tuple[OrientedBox2, float]],
-    ground_truth: Sequence[OrientedBox2],
-    iou_threshold: float,
-) -> float:
-    """Area under the all-point interpolated precision-recall curve.
+def _ranked_ious(
+    detections: Sequence[tuple[OrientedBox2, float]], ground_truth: Sequence[OrientedBox2]
+) -> list[list[tuple[int, float]]]:
+    """The detection x ground-truth IoUs, one row per detection in ranked order.
 
-    Detections greedily match the highest-IoU unmatched ground truth in
-    descending confidence order; a match needs IoU >= iou_threshold. With no
-    ground truth the score is 1.0 when there are also no detections (nothing
-    to do) and 0.0 otherwise.
+    Detections are ranked by descending confidence, ties to the lower index.
+    A row lists (ground-truth index, IoU) in ascending index for the pairs
+    whose circumcircles may meet; every pair left out has IoU 0.
     """
-    if not 0.0 < iou_threshold < 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold!r}")
-    npos = len(ground_truth)
-    if npos == 0:
-        return 1.0 if len(detections) == 0 else 0.0
-    if len(detections) == 0:
-        return 0.0
     order = sorted(range(len(detections)), key=lambda i: (-detections[i][1], i))
+    boxes = [detections[i][0] for i in order] + list(ground_truth)
+    n = len(order)
+    first, second = overlap_pairs(
+        np.array([b.cx for b in boxes], dtype=float),
+        np.array([b.cy for b in boxes], dtype=float),
+        np.array([b.circumradius() for b in boxes], dtype=float),
+    )
+    rows: list[list[tuple[int, float]]] = [[] for _ in order]
+    for r, g in sorted(zip(first.tolist(), second.tolist())):
+        if r < n <= g:
+            rows[r].append((g - n, rotated_iou_bev(boxes[r], boxes[g])))
+    return rows
+
+
+def _ap_from_ious(rows: list[list[tuple[int, float]]], npos: int, iou_threshold: float) -> float:
+    """average_precision from the rows of _ranked_ious against npos ground truths."""
+    if npos == 0:
+        return 1.0 if len(rows) == 0 else 0.0
+    if len(rows) == 0:
+        return 0.0
     matched = [False] * npos
     tp_flags: list[bool] = []
-    for i in order:
-        box = detections[i][0]
+    for row in rows:
         best_iou = 0.0
         best_j = -1
-        for j, gt in enumerate(ground_truth):
-            if matched[j]:
-                continue
-            iou = rotated_iou_bev(box, gt)
-            if iou > best_iou:
+        for j, iou in row:
+            if not matched[j] and iou > best_iou:
                 best_iou = iou
                 best_j = j
         if best_j >= 0 and best_iou >= iou_threshold:
@@ -151,6 +176,24 @@ def average_precision(
         ap += (recalls[k] - prev_recall) * precisions[k]
         prev_recall = recalls[k]
     return ap
+
+
+def average_precision(
+    detections: Sequence[tuple[OrientedBox2, float]],
+    ground_truth: Sequence[OrientedBox2],
+    iou_threshold: float,
+) -> float:
+    """Area under the all-point interpolated precision-recall curve.
+
+    Detections greedily match the highest-IoU unmatched ground truth in
+    descending confidence order (ties to the lower ground-truth index); a
+    match needs IoU > 0 and IoU >= iou_threshold. With no ground truth the
+    score is 1.0 when there are also no detections (nothing to do) and 0.0
+    otherwise.
+    """
+    if not 0.0 < iou_threshold < 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold!r}")
+    return _ap_from_ious(_ranked_ious(detections, ground_truth), len(ground_truth), iou_threshold)
 
 
 @dataclass(frozen=True)
@@ -342,12 +385,11 @@ def _run_scene(config: BenchmarkConfig, level: int, scene_idx: int) -> dict:
     gt_boxes = _ground_truth_in_ego(scene, ego_id)
     fused_corrected = late_fuse(messages, relative_poses(result_w.agent_poses, ego_id), config.nms_iou)
     fused_uncorrected = late_fuse(messages, relative_poses(measured, ego_id), config.nms_iou)
-    ap = {}
-    for thr in config.ap_thresholds:
-        ap[f"{thr:g}"] = {
-            "corrected": average_precision([(b.footprint(), b.confidence) for b in fused_corrected], gt_boxes, thr),
-            "uncorrected": average_precision([(b.footprint(), b.confidence) for b in fused_uncorrected], gt_boxes, thr),
-        }
+    ap: dict[str, dict[str, float]] = {f"{thr:g}": {} for thr in config.ap_thresholds}
+    for kind, fused in (("corrected", fused_corrected), ("uncorrected", fused_uncorrected)):
+        rows = _ranked_ious([(b.footprint(), b.confidence) for b in fused], gt_boxes)
+        for thr in config.ap_thresholds:
+            ap[f"{thr:g}"][kind] = _ap_from_ious(rows, len(gt_boxes), thr)
     return {
         "ok": True,
         "errors": errors,

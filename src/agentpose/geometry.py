@@ -213,3 +213,64 @@ def rotated_iou_bev(a: OrientedBox2, b: OrientedBox2) -> float:
     if union <= 0.0:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
+
+
+# Sorted points per block of close_pairs: a block's x-band candidates are the
+# only pair temporaries alive at a time.
+_PAIR_BLOCK = 256
+
+
+def close_pairs(xs: np.ndarray, ys: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, of the points at most reach apart, as two arrays.
+
+    A pair at most reach apart is at most reach apart in x, so each point's
+    candidate partners are the points after it in x order up to x + reach.
+    The sorted points are walked in blocks of _PAIR_BLOCK, and each block's
+    candidates are filtered by squared distance at once. The reach carries a
+    1e-6 relative slack, so pairs slightly beyond reach may be returned too:
+    callers apply their exact test to the pairs returned.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    n = len(xs)
+    order = np.argsort(xs, kind="stable")
+    sx = xs[order]
+    sy = ys[order]
+    reach = reach * (1.0 + 1e-6)
+    end = np.searchsorted(sx, sx + reach, side="right")
+    firsts, seconds = [], []
+    for lo in range(0, n, _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, n)
+        counts = end[lo:hi] - np.arange(lo + 1, hi + 1)
+        # Pair t of sorted point p is (p, p + 1 + t - (number of the block's pairs before p's)).
+        first = np.repeat(np.arange(lo, hi), counts)
+        second = np.arange(len(first)) + np.repeat(end[lo:hi] - np.cumsum(counts), counts)
+        dx = sx[second] - sx[first]
+        dy = sy[second] - sy[first]
+        near = dx * dx + dy * dy <= reach * reach
+        firsts.append(order[first[near]])
+        seconds.append(order[second[near]])
+    if not firsts:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    i = np.concatenate(firsts)
+    j = np.concatenate(seconds)
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def overlap_pairs(cx: np.ndarray, cy: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, of the circles (cx, cy, radius) that may meet, as two arrays.
+
+    A pair is dropped only when its centre distance exceeds
+    (radius[i] + radius[j]) * (1 + 1e-9), so every dropped pair of box
+    footprints is one that rotated_iou_bev sends through its
+    disjoint-circumcircle exit. The slack covers the rounding differences
+    between np.hypot and math.hypot.
+    """
+    cx = np.asarray(cx, dtype=float)
+    cy = np.asarray(cy, dtype=float)
+    radius = np.asarray(radius, dtype=float)
+    if not len(cx):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    i, j = close_pairs(cx, cy, 2.0 * float(radius.max()))
+    meet = np.hypot(cx[j] - cx[i], cy[j] - cy[i]) <= (radius[i] + radius[j]) * (1.0 + 1e-9)
+    return i[meet], j[meet]

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Pose2, compose, compose_columns, inverse, wrap_angles
+from .geometry import Pose2, close_pairs, compose, compose_columns, inverse, wrap_angles
 # information_matrix and transform_box are not called here; both stay bound as names
 # in perfbench/tracing.py's INTERCEPTED table, which rebinds them in this module.
 from .uncertainty import BoxDetection, information_matrix, transform_box  # noqa: F401
@@ -157,30 +157,19 @@ def _components(xs: np.ndarray, ys: np.ndarray, gap2: float) -> np.ndarray:
     """Connected components of the points linked by squared distance below gap2.
 
     Returns each point's root: the smallest index in its component. Candidate
-    partners come from a sort by x: a linked pair is less than the gap apart
-    in x, so each point's candidates are the points after it in x order up to
-    x + gap. The squared-distance test then runs on all candidates at once.
-    Roots are then merged over the linked pairs in rounds: every pair whose
-    ends still have different roots hooks the larger root to the smaller, and
-    pointers are followed until each point holds a root. Each round with an
-    unmerged pair removes a root, so the loop ends, and the smallest member
-    of a component is never hooked, so it is the component's root.
+    pairs come from close_pairs' sorted-x search; the squared-distance test
+    then runs on all of them at once. Roots are then merged over the linked
+    pairs in rounds: every pair whose ends still have different roots hooks
+    the larger root to the smaller, and pointers are followed until each
+    point holds a root. Each round with an unmerged pair removes a root, so
+    the loop ends, and the smallest member of a component is never hooked,
+    so it is the component's root.
     """
-    n = len(xs)
-    order = np.argsort(xs, kind="stable")
-    sx = xs[order]
-    sy = ys[order]
-    # The slack keeps every pair whose rounded squared distance is below gap2
-    # among the candidates; the exact test below decides which are linked.
-    reach = np.searchsorted(sx, sx + math.sqrt(gap2) * (1.0 + 1e-6), side="right")
-    counts = reach - np.arange(1, n + 1)
-    # Pair t of sorted point p is (p, p + 1 + t - (number of pairs before p's)).
-    first = np.repeat(np.arange(n), counts)
-    second = np.arange(len(first)) + np.repeat(reach - np.cumsum(counts), counts)
-    linked = (sx[second] - sx[first]) ** 2 + (sy[second] - sy[first]) ** 2 < gap2
+    i, j = close_pairs(xs, ys, math.sqrt(gap2))
+    linked = (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 < gap2
+    i, j = i[linked], j[linked]
 
-    root = np.arange(n)
-    i, j = order[first[linked]], order[second[linked]]
+    root = np.arange(len(xs))
     while i.size:
         ri, rj = root[i], root[j]
         np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))

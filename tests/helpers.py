@@ -1,16 +1,17 @@
 """Shared test scaffolding: graphs built from per-edge tuples, randomized
 problem instances, the independent least-squares solve used to cross-check
-the optimizer and the scalar graph build that the columnar one is checked
-against."""
+the optimizer, and the scalar graph build, late fusion and AP match that the
+columnar ones are checked against."""
 
 import math
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from agentpose.geometry import Pose2, compose, inverse
+from agentpose.geometry import Pose2, compose, inverse, rotated_iou_bev
 from agentpose.oracles import graph_residual_oracle
 from agentpose.posegraph import PoseGraph
+from agentpose.uncertainty import transform_box
 
 
 def graph_from_edges(agent_ids, agent_poses, ego_index, object_poses, edges) -> PoseGraph:
@@ -135,3 +136,59 @@ def scalar_build_oracle(messages, ego_id, center_gap=2.0) -> PoseGraph:
         object_poses,
         edges,
     )
+
+
+def scalar_late_fuse(messages, rel_poses, nms_iou):
+    """late_fuse one box at a time: every box is lifted with transform_box,
+    and each candidate, in (-confidence, agent_id, box index) order, is
+    clipped against every box kept so far."""
+    candidates = [
+        (-box.confidence, m.agent_id, k, transform_box(box, rel_poses[m.agent_id]))
+        for m in messages
+        for k, box in enumerate(m.boxes)
+    ]
+    candidates.sort(key=lambda c: c[:3])
+    kept, kept_fp = [], []
+    for *_, box in candidates:
+        fp = box.footprint()
+        if all(rotated_iou_bev(fp, other) < nms_iou for other in kept_fp):
+            kept.append(box)
+            kept_fp.append(fp)
+    return kept
+
+
+def scalar_average_precision(detections, ground_truth, iou_threshold):
+    """average_precision with the greedy match clipping each detection, in
+    (-confidence, index) order, against every unmatched ground truth."""
+    npos = len(ground_truth)
+    if npos == 0:
+        return 1.0 if len(detections) == 0 else 0.0
+    if len(detections) == 0:
+        return 0.0
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i][1], i))
+    matched = [False] * npos
+    flags = []
+    for i in order:
+        best_iou, best_j = 0.0, -1
+        for j, gt in enumerate(ground_truth):
+            if matched[j]:
+                continue
+            iou = rotated_iou_bev(detections[i][0], gt)
+            if iou > best_iou:
+                best_iou, best_j = iou, j
+        flags.append(best_j >= 0 and best_iou >= iou_threshold)
+        if flags[-1]:
+            matched[best_j] = True
+    precisions, recalls, tp = [], [], 0
+    for k, flag in enumerate(flags, start=1):
+        tp += flag
+        precisions.append(tp / k)
+        recalls.append(tp / npos)
+    for k in range(len(flags) - 2, -1, -1):
+        if precisions[k + 1] > precisions[k]:
+            precisions[k] = precisions[k + 1]
+    ap, prev = 0.0, 0.0
+    for k in range(len(flags)):
+        ap += (recalls[k] - prev) * precisions[k]
+        prev = recalls[k]
+    return ap

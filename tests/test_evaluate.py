@@ -1,5 +1,6 @@
 """Fusion and metric tests: AP against brute-force enumeration, NMS behavior,
-benchmark report structure and determinism."""
+late fusion and AP against their one-box-at-a-time references, benchmark
+report structure and determinism."""
 
 import json
 import math
@@ -9,17 +10,21 @@ import pytest
 
 from agentpose.evaluate import (
     BenchmarkConfig,
+    _ground_truth_in_ego,
+    _run_scene,
     average_precision,
     histogram_rows,
     late_fuse,
     relative_pose_error,
     run_benchmark,
 )
-from agentpose.geometry import OrientedBox2, Pose2
+from agentpose.geometry import OrientedBox2, Pose2, rotated_iou_bev
 from agentpose.oracles import ap_bruteforce
-from agentpose.posegraph import AgentMessage
-from agentpose.scenario import DetectorSpec
+from agentpose.posegraph import AgentMessage, build_pose_graph, optimize, relative_poses
+from agentpose.scenario import DetectorSpec, derive_seed, generate_scene, make_messages
 from agentpose.uncertainty import BoxDetection
+
+from helpers import scalar_average_precision, scalar_late_fuse
 
 
 def make_box(cx, cy, theta=0.0, confidence=0.8, agent_id="a", length=4.0, width=2.0):
@@ -120,6 +125,99 @@ class TestLateFuse:
         with pytest.raises(ValueError):
             late_fuse([msg], {})
 
+    def test_duplicate_agent_ids_rejected(self):
+        # Two messages from one agent would rank their boxes by message order.
+        msgs = [
+            AgentMessage("a1", Pose2.identity(), (make_box(0.0, 0.0, confidence=0.5, agent_id="a1"),)),
+            AgentMessage("a1", Pose2.identity(), (make_box(0.5, 0.0, confidence=0.5, agent_id="a1"),)),
+        ]
+        with pytest.raises(ValueError, match="duplicate agent_id"):
+            late_fuse(msgs, identity_rel(["a1"]))
+
+
+# Circumradius 0.5 * hypot(3, 4) = 2.5 exactly, so two such boxes 5.0 apart have
+# exactly tangent circumcircles.
+TANGENT = 5.0
+NEAR_TANGENT = (np.nextafter(TANGENT, 0.0), TANGENT, np.nextafter(TANGENT, np.inf))
+
+
+def random_box(rng, cx, cy, confidence, agent_id=""):
+    return make_box(
+        cx, cy, float(rng.uniform(-math.pi, math.pi)), confidence=confidence, agent_id=agent_id,
+        length=float(rng.uniform(1.0, 6.0)), width=float(rng.uniform(0.5, 3.0)),
+    )
+
+
+def random_round(rng, offset=0.0):
+    """Messages and relative poses whose lifted boxes crowd a 16 m square around
+    (offset, -offset); confidences come from a short list, so ties across
+    agents are common."""
+    n_agents = int(rng.integers(1, 6))
+    base = Pose2(offset, -offset, float(rng.uniform(-math.pi, math.pi)))
+    msgs, rel = [], {}
+    for a in range(n_agents):
+        aid = f"a{a}"
+        rel[aid] = Pose2(base.x + rng.uniform(-2, 2), base.y + rng.uniform(-2, 2), base.theta + rng.uniform(-0.3, 0.3))
+        boxes = tuple(
+            random_box(rng, *rng.uniform(-8, 8, 2), float(rng.choice([0.3, 0.5, 0.9])), aid)
+            for _ in range(int(rng.integers(0, 9)))
+        )
+        msgs.append(AgentMessage(aid, Pose2.identity(), boxes))
+    return msgs, rel
+
+
+class TestLateFuseMatchesScalar:
+    """late_fuse equals the one-box-at-a-time reference, kept boxes and their order."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0e6])
+    def test_random_rounds(self, offset):
+        rng = np.random.default_rng(115)
+        for _ in range(300):
+            msgs, rel = random_round(rng, offset)
+            nms_iou = float(rng.choice([0.05, 0.15, 0.5, 1.0]))
+            assert late_fuse(msgs, rel, nms_iou) == scalar_late_fuse(msgs, rel, nms_iou)
+
+    def test_identical_boxes_from_two_agents(self):
+        # Equal footprints take rotated_iou_bev's a == b exit (IoU exactly 1.0).
+        rng = np.random.default_rng(116)
+        boxes = [random_box(rng, *rng.uniform(-8, 8, 2), 0.7) for _ in range(6)]
+        frame = Pose2(3.0, -2.0, 0.4)
+        msgs = [AgentMessage(a, Pose2.identity(), tuple(boxes)) for a in ("a1", "a0")]
+        rel = {"a0": frame, "a1": frame}
+        for nms_iou in (0.15, 1.0):
+            fused = late_fuse(msgs, rel, nms_iou)
+            assert fused == scalar_late_fuse(msgs, rel, nms_iou)
+        assert len(fused) == len(boxes)
+
+    @pytest.mark.parametrize("gap", NEAR_TANGENT)
+    def test_tangent_circumcircles(self, gap):
+        for heading in (0.0, math.atan2(4.0, 3.0), 1.0):
+            msgs = [
+                AgentMessage(aid, Pose2.identity(), (make_box(x, 0.0, heading, 0.5, aid, length=3.0, width=4.0),))
+                for aid, x in (("a0", 0.0), ("a1", float(gap)))
+            ]
+            rel = identity_rel(["a0", "a1"])
+            assert late_fuse(msgs, rel, 0.01) == scalar_late_fuse(msgs, rel, 0.01)
+
+    def test_candidate_is_clipped_against_kept_box_in_that_order(self):
+        # IoU is symmetric only to about 1e-12: at an NMS threshold equal to
+        # IoU(candidate, kept) the argument order decides whether it is dropped.
+        rng = np.random.default_rng(118)
+        while True:
+            kept, cand = (random_box(rng, *rng.uniform(-1, 1, 2), conf, "a0") for conf in (0.9, 0.5))
+            nms_iou = rotated_iou_bev(cand.footprint(), kept.footprint())
+            if nms_iou > rotated_iou_bev(kept.footprint(), cand.footprint()):
+                break
+        msgs = [AgentMessage("a0", Pose2.identity(), (cand, kept))]
+        fused = late_fuse(msgs, identity_rel(["a0"]), nms_iou)
+        assert fused == scalar_late_fuse(msgs, identity_rel(["a0"]), nms_iou)
+        assert len(fused) == 1
+
+    def test_empty(self):
+        assert late_fuse([], {}) == []
+        msgs = [AgentMessage("a0", Pose2.identity(), ()), AgentMessage("a1", Pose2.identity(), ())]
+        assert late_fuse(msgs, identity_rel(["a0", "a1"])) == []
+
 
 def aab(cx, cy, length=4.0, width=2.0):
     return OrientedBox2(cx, cy, length, width, 0.0)
@@ -183,6 +281,80 @@ class TestAveragePrecision:
             average_precision([], [], 0.0)
         with pytest.raises(ValueError):
             average_precision([], [], 1.0)
+
+
+THRESHOLDS = (0.05, 0.3, 0.5, 0.7, 0.9)
+
+
+class TestAveragePrecisionMatchesScalar:
+    """average_precision equals the greedy match that clips every unmatched ground truth."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0e6])
+    def test_random_rotated_boxes(self, offset):
+        rng = np.random.default_rng(117)
+
+        def box():
+            return random_box(rng, *(offset + rng.uniform(-8, 8, 2)), 0.5).footprint()
+
+        for _ in range(300):
+            gts = [box() for _ in range(int(rng.integers(0, 8)))]
+            # Detections near ground truth, some exact copies, confidences tied often.
+            dets = [(box(), float(rng.choice([0.3, 0.5, 0.9]))) for _ in range(int(rng.integers(0, 8)))]
+            dets += [(g, 0.5) for g in gts if rng.random() < 0.3]
+            for thr in THRESHOLDS:
+                assert average_precision(dets, gts, thr) == scalar_average_precision(dets, gts, thr)
+
+    @pytest.mark.parametrize("gap", NEAR_TANGENT)
+    def test_tangent_circumcircles(self, gap):
+        for heading in (0.0, math.atan2(4.0, 3.0), 1.0):
+            gts = [OrientedBox2(0.0, 0.0, 3.0, 4.0, heading), OrientedBox2(float(gap) + 1.0, 0.0, 3.0, 4.0, heading)]
+            dets = [(OrientedBox2(float(gap), 0.0, 3.0, 4.0, heading), 0.8), (gts[0], 0.8)]
+            for thr in THRESHOLDS:
+                assert average_precision(dets, gts, thr) == scalar_average_precision(dets, gts, thr)
+
+    def test_detection_is_clipped_against_ground_truth_in_that_order(self):
+        rng = np.random.default_rng(119)
+        while True:
+            det, gt = (random_box(rng, *rng.uniform(-1, 1, 2), 0.5).footprint() for _ in range(2))
+            thr = rotated_iou_bev(det, gt)
+            if 0.0 < rotated_iou_bev(gt, det) < thr < 1.0:
+                break
+        assert average_precision([(det, 0.5)], [gt], thr) == scalar_average_precision([(det, 0.5)], [gt], thr) == 1.0
+
+    def test_equal_ious_go_to_the_first_ground_truth(self):
+        # The first ground truth lies last in x, where the pair search meets it last.
+        gts = [aab(2.0, 0.0), aab(-2.0, 0.0)]
+        dets = [(aab(0.0, 0.0), 0.9), (aab(3.0, 0.0), 0.8)]
+        assert rotated_iou_bev(dets[0][0], gts[0]) == rotated_iou_bev(dets[0][0], gts[1]) > 0.0
+        assert average_precision(dets, gts, 0.3) == scalar_average_precision(dets, gts, 0.3) == 0.5
+
+    def test_benchmark_scenes_score_every_threshold_from_one_match_table(self):
+        config = BenchmarkConfig(seed=36, scenes=4, noise_grid=((0.6, 0.6),), ap_thresholds=THRESHOLDS)
+        for idx in range(config.scenes):
+            scene = generate_scene(
+                config.num_agents, config.num_objects, area=config.area, seed=derive_seed(config.seed, "scene", idx),
+                extent=config.extent, min_object_gap=config.min_object_gap,
+            )
+            messages = make_messages(scene, config.noise_at(0), config.detector, derive_seed(config.seed, "msgs", 0, idx))
+            ego = scene.agents[0].agent_id
+            result = optimize(build_pose_graph(messages, ego, config.cluster_gap), config.solver)
+            gts = _ground_truth_in_ego(scene, ego)
+            poses = {
+                "corrected": result.agent_poses,
+                "uncorrected": {m.agent_id: m.measured_pose for m in messages},
+            }
+            want = {
+                f"{thr:g}": {
+                    kind: scalar_average_precision(
+                        [(b.footprint(), b.confidence) for b in scalar_late_fuse(messages, relative_poses(p, ego), config.nms_iou)],
+                        gts,
+                        thr,
+                    )
+                    for kind, p in poses.items()
+                }
+                for thr in THRESHOLDS
+            }
+            assert _run_scene(config, 0, idx)["ap"] == want
 
 
 class TestRunBenchmark:

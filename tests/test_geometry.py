@@ -1,5 +1,5 @@
 """Geometry tests: pose algebra against a homogeneous-matrix oracle, box IoU
-against a Monte-Carlo area oracle."""
+against a Monte-Carlo area oracle, the pair searches against all-pairs scans."""
 
 import math
 
@@ -10,11 +10,13 @@ from agentpose.geometry import (
     TWO_PI,
     OrientedBox2,
     Pose2,
+    close_pairs,
     compose,
     compose_columns,
     consistency_error,
     inverse,
     normalize_angle,
+    overlap_pairs,
     rotated_iou_bev,
     wrap_angles,
 )
@@ -260,3 +262,84 @@ class TestRotatedIouBev:
             OrientedBox2(0.0, 0.0, 0.0, 2.0, 0.0)
         with pytest.raises(ValueError):
             OrientedBox2(0.0, 0.0, 2.0, -1.0, 0.0)
+
+
+def pair_list(i, j):
+    pairs = list(zip(i.tolist(), j.tolist()))
+    assert len(set(pairs)) == len(pairs)
+    assert all(a < b for a, b in pairs)
+    return set(pairs)
+
+
+class TestPairSearch:
+    def test_close_pairs_of_no_and_one_point(self):
+        for n in (0, 1):
+            i, j = close_pairs(np.zeros(n), np.zeros(n), 2.0)
+            assert i.size == j.size == 0
+            assert i.dtype.kind == j.dtype.kind == "i"
+
+    @pytest.mark.parametrize("n", [7, 700])
+    def test_close_pairs_match_all_pairs_scan(self, n):
+        # 700 points span several blocks; lattice points put many pairs exactly
+        # at the reach and many points at the same x.
+        rng = np.random.default_rng(57)
+        for lattice in (True, False):
+            if lattice:
+                xs, ys = rng.integers(0, 30, n).astype(float), rng.integers(0, 30, n).astype(float)
+            else:
+                xs, ys = rng.uniform(-40, 40, n), rng.uniform(-40, 40, n)
+            got = pair_list(*close_pairs(xs, ys, 2.0))
+            d = np.hypot(xs[:, None] - xs, ys[:, None] - ys)
+            want = set(zip(*(k.tolist() for k in np.nonzero(np.triu(d <= 2.0, 1)))))
+            assert want <= got
+            assert all(d[a, b] <= 2.0 * (1.0 + 1e-5) for a, b in got)
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0e6])
+    def test_overlap_pairs_keep_every_pair_that_is_clipped(self, offset):
+        # rotated_iou_bev skips clipping only when the centre distance exceeds the
+        # circumradius sum; near-tangent pairs sit within a few ulps of that edge.
+        rng = np.random.default_rng(58)
+        for _ in range(40):
+            boxes = [random_box(rng) for _ in range(int(rng.integers(0, 30)))]
+            boxes = [OrientedBox2(b.cx + offset, b.cy - offset, b.length, b.width, b.heading) for b in boxes]
+            for a in list(boxes[:5]):
+                b = random_box(rng)
+                gap = a.circumradius() + b.circumradius()
+                for ulps in range(-2, 3):
+                    cx = a.cx + gap
+                    for _ in range(abs(ulps)):
+                        cx = np.nextafter(cx, math.copysign(math.inf, ulps))
+                    boxes.append(OrientedBox2(float(cx), a.cy, b.length, b.width, b.heading))
+            lengths = np.array([b.length for b in boxes])
+            widths = np.array([b.width for b in boxes])
+            cx = np.array([b.cx for b in boxes])
+            cy = np.array([b.cy for b in boxes])
+            got = pair_list(*overlap_pairs(cx, cy, 0.5 * np.hypot(lengths, widths)))
+            for i, a in enumerate(boxes):
+                for j in range(i + 1, len(boxes)):
+                    b = boxes[j]
+                    if math.hypot(b.cx - a.cx, b.cy - a.cy) <= a.circumradius() + b.circumradius():
+                        assert (i, j) in got
+                    if rotated_iou_bev(a, b) > 0.0 or rotated_iou_bev(b, a) > 0.0:
+                        assert (i, j) in got
+                    if (i, j) in got:
+                        assert math.hypot(b.cx - a.cx, b.cy - a.cy) <= (a.circumradius() + b.circumradius()) * (1 + 1e-8)
+
+    def test_overlap_pairs_cover_hypot_rounding(self):
+        # np.hypot and math.hypot differ in the last bit on some inputs. A pair
+        # tangent by the math.hypot circumradii that rotated_iou_bev uses must be
+        # kept when the np.hypot radii passed in are the smaller ones.
+        rng = np.random.default_rng(59)
+        lengths, widths = rng.uniform(1.0, 6.0, 10_000), rng.uniform(0.5, 3.0, 10_000)
+        radius = 0.5 * np.hypot(lengths, widths)
+        found = 0
+        for length, width, r in zip(lengths.tolist(), widths.tolist(), radius.tolist()):
+            a = OrientedBox2(0.0, 0.0, length, width, 0.3)
+            if r < a.circumradius():
+                found += 1
+                b = OrientedBox2(2.0 * a.circumradius(), 0.0, length, width, -0.3)
+                assert math.hypot(b.cx - a.cx, b.cy - a.cy) <= a.circumradius() + b.circumradius()
+                i, j = overlap_pairs(np.array([a.cx, b.cx]), np.zeros(2), np.array([r, r]))
+                assert (i.tolist(), j.tolist()) == ([0], [1])
+        if not found:
+            pytest.skip("np.hypot and math.hypot agree on every sample on this platform")
