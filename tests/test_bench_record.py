@@ -60,10 +60,10 @@ def test_failed_check_is_recorded_and_reported(root, monkeypatch):
         return int(failed), f"info {{}}\n{json.dumps(result)}\n", ""
 
     monkeypatch.setattr(bench_record.subprocess, "run", fake_run(stdout_for))
-    assert bench_record.main(["--pr", "9", "--seed", "3", "--seconds", "5"]) == 1
+    assert bench_record.main(["--pr", "9", "--seed", "3"]) == 1
     runs = json.loads((root / "BENCH_9.json").read_text(encoding="utf-8"))["runs"]
     assert [r["exit"] for r in runs] == [0, 0, 1, 0]
-    assert runs[0]["seconds"] == 5.0
+    assert runs[0]["seconds"] == 45.0
 
 
 def test_run_without_result_line_is_an_error(root, monkeypatch):

@@ -6,10 +6,10 @@ Run from anywhere, on an idle machine:
 
 It runs ``perfbench/run.py`` once per workload with ``--trace 0`` (the gated
 end-to-end metrics) and once with ``--trace 1`` (the per-layer metrics and
-the sweep), one run at a time. Each run's ``info`` line and its final result
-line are kept as parsed JSON, next to the commit hash and whether the work
-tree had uncommitted changes. The file holds no timing that the runs
-themselves did not print.
+the sweep), one run at a time, each for BENCHMARK.json's ``run_seconds``.
+Each run's ``info`` line and its final result line are kept as parsed JSON,
+next to the commit hash and whether the work tree had uncommitted changes.
+The file holds no timing that the runs themselves did not print.
 """
 
 from __future__ import annotations
@@ -57,17 +57,14 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="number in the output name BENCH_<pr>.json")
     p.add_argument("--seed", type=int, required=True, help="workload seed passed to perfbench")
-    p.add_argument(
-        "--seconds", type=float, default=float(spec["run_seconds"]),
-        help="run length of each perfbench run (default: BENCHMARK.json run_seconds)",
-    )
     args = p.parse_args(argv)
+    seconds = float(spec["run_seconds"])
     record = {
         "pr": args.pr,
         "commit": git("rev-parse", "HEAD"),
         "worktree_clean": git("status", "--porcelain", "--untracked-files=no") == "",
         "runs": [
-            run_once(workload, trace, args.seed, args.seconds) for workload in WORKLOADS for trace in (0, 1)
+            run_once(workload, trace, args.seed, seconds) for workload in WORKLOADS for trace in (0, 1)
         ],
     }
     out = ROOT / f"BENCH_{args.pr}.json"
