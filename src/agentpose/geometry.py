@@ -31,16 +31,14 @@ def normalize_angle(theta: float) -> float:
 
 
 def wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """Vectorized normalize_angle, bit for bit; values already in (-pi, pi] pass through exactly."""
-    out = np.asarray(angles, dtype=float).copy()
-    need = (out > math.pi) | (out <= -math.pi)
-    if np.any(need):
-        w = np.fmod(out[need], TWO_PI)
-        low = w <= -math.pi
-        high = w > math.pi
-        w[low] += TWO_PI
-        w[high] -= TWO_PI
-        out[need] = w
+    """Vectorized normalize_angle, bit for bit; values already in (-pi, pi] pass through exactly.
+
+    fmod returns an angle below TWO_PI in magnitude unchanged, so only the
+    angles it or the two corrections move were out of range.
+    """
+    out = np.fmod(np.asarray(angles, dtype=float), TWO_PI)
+    np.add(out, TWO_PI, out=out, where=out <= -math.pi)
+    np.subtract(out, TWO_PI, out=out, where=out > math.pi)
     return out
 
 

@@ -332,172 +332,197 @@ def build_pose_graph(
     )
 
 
-class _Problem:
-    """Packed array view of a pose graph for vectorized residual/Jacobian evaluation.
+# Rows of the summed Gram behind g_o, and the 2x2 identity and adjugate signs
+# over a trailing object axis.
+_G_O_ROWS = np.array([1, 2, 0])
+_EYE2 = np.eye(2)[:, :, None]
+_ADJUGATE_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
 
-    _linearize gives each edge's weighted residual and its weighted Jacobian
-    blocks, A for the agent pose and O for the object pose. block_sums sums
-    JᵀJ and Jᵀr over the free state (every node but the ego) from those blocks
-    into the agent, cross and object blocks that the Schur step takes.
-    normal_equations assembles the dense JᵀJ and Jᵀr from the same sums and
-    residuals_and_jacobian scatters the edge blocks into the dense Jacobian;
-    both are views kept for verification only.
+
+class _Problem:
+    """Packed array view of a pose graph for the Levenberg-Marquardt solve.
+
+    evaluate gives the residuals alone, which is all a trial step needs.
+    normal_blocks forms an accepted state's normal equations from one Gram
+    G = [o | A]ᵀ[A | r] per edge, where A is the edge's weighted 3x3 agent
+    block, r its weighted residual and o = (0, 0, -sqrt(w_theta)). The object
+    block is O = [-A[:, :2] | -o], so every block of JᵀJ and Jᵀr over the free
+    state (every node but the ego) follows from G. edge_blocks returns the
+    per-edge [A | O], filled by the same code, for verification.
     """
 
     def __init__(self, graph: PoseGraph):
         n_a = len(graph.agent_ids)
         n_o = len(graph.object_poses)
         self.n_agents = n_a
+        self.n_objects = n_o
         self.n_nodes = n_a + n_o
         self.ego = graph.ego_index
         self.free_nodes = np.array([i for i in range(self.n_nodes) if i != self.ego], dtype=int)
         self.n_free = 3 * len(self.free_nodes)
+        self.n_free_agents = 3 * (n_a - 1)
         self.p0 = np.array([p.as_tuple() for p in graph.agent_poses + graph.object_poses], dtype=float)
         m = len(graph.measurements)
         self.m = m
         self.ai = graph.edge_nodes[:, 0]
         self.oi = n_a + graph.edge_nodes[:, 1]
         self.zx, self.zy, self.zt = np.ascontiguousarray(graph.measurements.T)
+        self.cz = np.cos(self.zt)
+        self.sz = np.sin(self.zt)
         self.sqrt_w = np.sqrt(graph.info)
 
-        # Free state: the free agents (n_free_agents entries), then the objects.
-        # The ego's rows and columns go to one extra agent slot, sliced off.
-        self.n_free_agents = 3 * (n_a - 1)
+        # Gram buffer [o | A | r] per edge; o and the heading row of A are
+        # constant. The translation columns of A are -R(-phi), phi = theta_z +
+        # theta_j, whitened. Its heading column is (e_y + zr_y, -(e_x + zr_x))
+        # whitened, for the unweighted residual e and zr = R(-theta_z)(z_x, z_y).
+        self._buf = np.zeros((m, 3, 5))
+        self._gram = np.empty((m, 4, 4))
+        self._buf[:, 2, 0] = self._buf[:, 2, 3] = -self.sqrt_w[:, 2]
+        self._neg_sqrt_w = -self.sqrt_w
+        self._zr_swapped = np.stack((self.cz * self.zy - self.sz * self.zx, self.cz * self.zx + self.sz * self.zy), axis=1)
+        self._turn_weight = self.sqrt_w[:, :2] * (1.0, -1.0)
+        self._heading_index = 3 * self.ai + 2
+
+        # Grams are summed per (agent slot, row p, column q of G, object): the
+        # free agents in order, then the ego, whose agent rows are sliced off.
+        # A repeated (agent, object) edge lands on the same entries and adds.
         agent_slot = np.full(n_a, n_a - 1)
         agent_slot[self.free_nodes[self.free_nodes < n_a]] = np.arange(n_a - 1)
-        ra = 3 * agent_slot[self.ai][:, None] + np.arange(3)
-        ro = 3 * (self.oi - n_a)[:, None] + np.arange(3)
-        na, no = 3 * n_a, 3 * n_o
-        # Flat index of every entry of an edge's [A|O]ᵀ[A | O | r] (6 x 7) into
-        # H_aa (na x na), H_ao (na x no), H_oo (n_o x 3 x 3), g_a (na) and g_o
-        # (no), laid end to end. OᵀA is AᵀO transposed and goes to a discard
-        # slot. Entries are summed, so a repeated edge counts twice.
-        self._bounds = np.cumsum([na * na, na * no, 3 * no, na, no]).tolist()
-        index = np.empty((m, 6, 7), dtype=np.intp)
-        index[:, :3, :3] = ra[:, :, None] * na + ra[:, None, :]
-        index[:, :3, 3:6] = self._bounds[0] + ra[:, :, None] * no + ro[:, None, :]
-        index[:, 3:, :3] = self._bounds[-1]
-        index[:, 3:, 3:6] = self._bounds[1] + 3 * ro[:, :, None] + np.arange(3)
-        index[:, :3, 6] = self._bounds[2] + ra
-        index[:, 3:, 6] = self._bounds[3] + ro
-        self._block_index = index.ravel()
+        entry = 16 * agent_slot[self.ai, None] + np.arange(16)
+        self._pair_index = (entry * n_o + graph.edge_nodes[:, 1, None]).ravel()
+        self._pair_shape = (n_a, 4, 4, n_o)
+        self._pair_size = 16 * n_a * n_o
+        self._agent_diag = np.arange(n_a - 1)
 
-    def _linearize(self, poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted residuals, flat (3m,), and the weighted blocks [A | O], shape (m, 3, 6)."""
-        tj = poses[self.ai]
-        tk = poses[self.oi]
-        dx = tk[:, 0] - tj[:, 0]
-        dy = tk[:, 1] - tj[:, 1]
+    def evaluate(self, poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unweighted and weighted residuals, both (m, 3), at the given node poses."""
+        tj = poses.take(self.ai, axis=0)
+        tk = poses.take(self.oi, axis=0)
+        d = tk[:, :2] - tj[:, :2]
         cj = np.cos(tj[:, 2])
         sj = np.sin(tj[:, 2])
-        ax = cj * dx + sj * dy
-        ay = -sj * dx + cj * dy
-        cz = np.cos(self.zt)
-        sz = np.sin(self.zt)
+        # The object's offset from the measured box, in the agent frame.
+        ax = cj * d[:, 0] + sj * d[:, 1] - self.zx
+        ay = cj * d[:, 1] - sj * d[:, 0] - self.zy
         e = np.empty((self.m, 3))
-        e[:, 0] = cz * (ax - self.zx) + sz * (ay - self.zy)
-        e[:, 1] = -sz * (ax - self.zx) + cz * (ay - self.zy)
+        e[:, 0] = self.cz * ax + self.sz * ay
+        e[:, 1] = self.cz * ay - self.sz * ax
         e[:, 2] = wrap_angles(tk[:, 2] - tj[:, 2] - self.zt)
+        return e, e * self.sqrt_w
 
-        # Rotation R(-(theta_z + theta_j)) appears in both translation blocks.
-        phi = self.zt + tj[:, 2]
-        cphi = np.cos(phi)
-        sphi = np.sin(phi)
-        jac = np.zeros((self.m, 3, 6))
-        jac[:, 0, 0] = -cphi
-        jac[:, 0, 1] = -sphi
-        jac[:, 0, 2] = cz * ay - sz * ax
-        jac[:, 1, 0] = sphi
-        jac[:, 1, 1] = -cphi
-        jac[:, 1, 2] = -sz * ay - cz * ax
-        jac[:, 2, 2] = -1.0
-        jac[:, :2, 3:5] = -jac[:, :2, :2]
-        jac[:, 2, 5] = 1.0
-        return (e * self.sqrt_w).ravel(), jac * self.sqrt_w[:, :, None]
+    def _fill(self, poses: np.ndarray, e: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The Gram buffer [o | A | r], (m, 3, 5), filled at the given state."""
+        phi = self.zt + poses.take(self._heading_index)
+        c = np.cos(phi)
+        s = np.sin(phi)
+        buf = self._buf
+        np.multiply(c, self._neg_sqrt_w[:, 0], out=buf[:, 0, 1])
+        np.multiply(s, self._neg_sqrt_w[:, 0], out=buf[:, 0, 2])
+        np.multiply(s, self.sqrt_w[:, 1], out=buf[:, 1, 1])
+        np.multiply(c, self._neg_sqrt_w[:, 1], out=buf[:, 1, 2])
+        np.multiply(e[:, 1::-1] + self._zr_swapped, self._turn_weight, out=buf[:, :2, 3])
+        buf[:, :, 4] = r
+        return buf
 
-    def residuals(self, poses: np.ndarray) -> np.ndarray:
-        return self._linearize(poses)[0]
+    def normal_blocks(self, poses: np.ndarray, e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
+        """JᵀJ and Jᵀr over the free state as (H_aa, H_ao, H_xy, H_theta, g_a, g_o).
 
-    def block_sums(self, r: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, ...]:
-        """JᵀJ and Jᵀr over the free state as blocks (H_aa, H_ao, H_oo, g_a, g_o).
-
-        H_aa and H_ao are the free agents' rows, H_oo holds one 3x3 block per
-        object, g_a and g_o are the agents' and the objects' parts of Jᵀr.
+        H_aa (fa x fa, block diagonal) and g_a (fa,) are the free agents' parts.
+        The object parts are component-major, with the object last: H_ao (fa x
+        3 n_objects) has its columns ordered (component, object) and g_o is (3,
+        n_objects). Each object's block is [[H_xy, 0], [0, H_theta]], with H_xy
+        (2, 2, n_objects) and H_theta (n_objects,). Rows p and columns q of G
+        are o, A_0, A_1, A_2 and A_0, A_1, A_2, r.
         """
-        per_edge = jac.transpose(0, 2, 1) @ np.concatenate((jac, r.reshape(-1, 3, 1)), axis=2)
-        b = self._bounds
-        sums = np.bincount(self._block_index, per_edge.ravel(), minlength=b[-1] + 1)
-        fa = self.n_free_agents
-        na = fa + 3
+        buf = self._fill(poses, e, r)
+        gram = np.matmul(buf[:, :, :4].transpose(0, 2, 1), buf[:, :, 1:], out=self._gram)
+        pairs = np.bincount(self._pair_index, gram.ravel(), minlength=self._pair_size).reshape(self._pair_shape)
+        agents = pairs[:-1].sum(axis=3)
+        objects = pairs.sum(axis=0)
+        n_fa, fa, n_o = len(self._agent_diag), self.n_free_agents, self.n_objects
+        h_aa = np.zeros((n_fa, 3, n_fa, 3))
+        h_aa[self._agent_diag, :, self._agent_diag, :] = agents[:, 1:, :3]
+        # H_ao = -[AᵀA[:, :2] | Aᵀo], indexed (agent, i, j, object).
+        h_ao = np.empty((n_fa, 3, 3, n_o))
+        np.negative(pairs[:-1, 1:, :2], out=h_ao[:, :, :2])
+        np.negative(pairs[:-1, 0, :3], out=h_ao[:, :, 2])
         return (
-            sums[: b[0]].reshape(na, na)[:fa, :fa],
-            sums[b[0] : b[1]].reshape(na, -1)[:fa],
-            sums[b[1] : b[2]].reshape(-1, 3, 3),
-            sums[b[2] : b[2] + fa],
-            sums[b[3] : b[4]],
+            h_aa.reshape(fa, fa),
+            h_ao.reshape(fa, 3 * n_o),
+            objects[1:3, :2],  # A[:, :2]ᵀA[:, :2]
+            objects[0, 2],  # oᵀA_2 = oᵀo
+            agents[:, 1:, 3].ravel(),
+            -objects[_G_O_ROWS, 3],  # -(A_0ᵀr, A_1ᵀr, oᵀr)
         )
 
-    def normal_equations(self, r: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Dense JᵀJ and Jᵀr over the free state, assembled from block_sums."""
-        h_aa, h_ao, h_oo, g_a, g_o = self.block_sums(r, jac)
-        fa = self.n_free_agents
-        n_o = len(h_oo)
-        hess = np.zeros((self.n_free, self.n_free))
-        hess[:fa, :fa] = h_aa
-        hess[:fa, fa:] = h_ao
-        hess[fa:, :fa] = h_ao.T
-        objects = hess[fa:, fa:].reshape(n_o, 3, n_o, 3)
-        objects[np.arange(n_o), :, np.arange(n_o), :] = h_oo
-        return hess, np.concatenate((g_a, g_o))
+    def edge_blocks(self, poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted residuals, flat (3m,), and each edge's weighted blocks [A | O], (m, 3, 6).
 
-    def residuals_and_jacobian(self, poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Residuals and the dense (3m, n_free) Jacobian, scattered from the edge blocks."""
-        r, jac = self._linearize(poses)
-        slot = np.full(self.n_nodes, len(self.free_nodes))
-        slot[self.free_nodes] = np.arange(len(self.free_nodes))
-        cols = (3 * slot[np.stack((self.ai, self.oi), axis=1)][:, :, None] + np.arange(3)).reshape(self.m, 1, 6)
-        dense = np.zeros((self.m, 3, self.n_free + 3))
-        np.put_along_axis(dense, np.broadcast_to(cols, jac.shape), jac, axis=2)
-        return r, dense.reshape(3 * self.m, self.n_free + 3)[:, : self.n_free]
+        The blocks are read from the Gram buffer; kept for verification only.
+        """
+        e, r = self.evaluate(poses)
+        buf = self._fill(poses, e, r)
+        return r.ravel(), np.concatenate((buf[:, :, 1:4], -buf[:, :, 1:3], -buf[:, :, :1]), axis=2)
+
+    def residuals(self, poses: np.ndarray) -> np.ndarray:
+        """Weighted residuals, flat (3m,)."""
+        return self.evaluate(poses)[1].ravel()
 
     def apply_step(self, poses: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Poses moved by the free-state step; the ego's row is copied, and its
+        heading, already wrapped, passes through wrap_angles unchanged."""
+        step = delta.reshape(-1, 3)
         out = poses.copy()
-        out[self.free_nodes] += delta.reshape(-1, 3)
-        out[self.free_nodes, 2] = wrap_angles(out[self.free_nodes, 2])
+        out[: self.ego] += step[: self.ego]
+        out[self.ego + 1 :] += step[self.ego :]
+        out[:, 2] = wrap_angles(out[:, 2])
         return out
 
 
 def _schur_step(
-    h_aa: np.ndarray, h_ao: np.ndarray, h_oo: np.ndarray, g_a: np.ndarray, g_o: np.ndarray, lam: float
+    h_aa: np.ndarray,
+    h_ao: np.ndarray,
+    h_xy: np.ndarray,
+    h_theta: np.ndarray,
+    g_a: np.ndarray,
+    g_o: np.ndarray,
+    lam: float,
 ) -> np.ndarray:
-    """Solve (JᵀJ + lam I) delta = -Jᵀr from block_sums by eliminating the objects.
+    """Solve (JᵀJ + lam I) delta = -Jᵀr from normal_blocks by eliminating the objects.
 
     With C the damped object blocks, the agent step solves the Schur complement
     S = H_aa + lam I - H_ao C⁻¹ H_aoᵀ, and each object's step follows from it.
-    Every block of C is positive definite, so the damped system is positive
-    definite exactly when S is: the Cholesky of S is the guard. It raises
-    LinAlgError otherwise, e.g. for a component detached from the ego, whose
-    JᵀJ is singular and whose free gauge a plain solve would step along.
+    Each C is a 2x2 translation block and a heading scalar, inverted in closed
+    form: the 2x2 adjugate over the determinant. Every C is positive definite,
+    so the damped system is positive definite exactly when S is: the Cholesky
+    of S is the guard. It raises LinAlgError otherwise, e.g. for a component
+    detached from the ego, whose JᵀJ is singular and whose free gauge a plain
+    solve would step along. The step is returned in state order.
     """
-    fa, n_o = len(g_a), len(h_oo)
-    c_inv = np.linalg.inv(h_oo + lam * np.eye(3))
-    # W = H_ao C⁻¹, one (fa x 3) @ (3 x 3) product per object.
-    w = (h_ao.reshape(fa, n_o, 3).transpose(1, 0, 2) @ c_inv).transpose(1, 0, 2).reshape(fa, 3 * n_o)
+    fa, n_o = len(g_a), g_o.shape[1]
+    damped = h_xy + lam * _EYE2
+    det = damped[0, 0] * damped[1, 1] - damped[0, 1] * damped[1, 0]
+    c_inv = np.zeros((3, 3, n_o))
+    c_inv[:2, :2] = damped[::-1, ::-1] * _ADJUGATE_SIGN / det
+    c_inv[2, 2] = 1.0 / (h_theta + lam)
+    w = np.einsum("aio,ijo->ajo", h_ao.reshape(fa, 3, n_o), c_inv).reshape(fa, 3 * n_o)  # H_ao C⁻¹
     s = h_aa - w @ h_ao.T
     s.flat[:: fa + 1] += lam  # + lam I
     np.linalg.cholesky(s)
-    delta_a = np.linalg.solve(s, w @ g_o - g_a)
-    delta_o = c_inv @ (-g_o - h_ao.T @ delta_a).reshape(n_o, 3, 1)
+    delta_a = np.linalg.solve(s, w @ g_o.ravel() - g_a)
+    v = -g_o - (delta_a @ h_ao).reshape(3, n_o)
+    delta_o = np.einsum("io,ijo->oj", v, c_inv)
     return np.concatenate((delta_a, delta_o.ravel()))
 
 
 def optimize(graph: PoseGraph, params: SolverParams = SolverParams()) -> SolveResult:
     """Minimize the weighted pose-consistency objective with Levenberg-Marquardt.
 
-    Each iteration sums the normal equations from the per-edge Jacobian blocks;
-    the dense Jacobian is never formed. Each trial step eliminates the 3x3
-    object blocks and solves the Schur complement over the free agents
-    (3(n_agents-1) square), then back-substitutes the object steps. The ego
+    Each accepted state sums its normal equations from one Gram matrix per
+    edge; a trial step evaluates only the residuals, and the dense Jacobian
+    is never formed. Each trial step eliminates the 3x3 object blocks and
+    solves the Schur complement over the free agents (3(n_agents-1)
+    square), then back-substitutes the object steps. The ego
     pose never enters the state vector and is returned bit-identical. The
     objective over accepted steps is non-increasing by construction; a
     singular normal system only raises the damping, never an error. The solve
@@ -508,8 +533,8 @@ def optimize(graph: PoseGraph, params: SolverParams = SolverParams()) -> SolveRe
     """
     prob = _Problem(graph)
     poses = prob.p0.copy()
-    r, jac = prob._linearize(poses)
-    objective = float(r @ r)
+    e, r = prob.evaluate(poses)
+    objective = float(np.vdot(r, r))
     trace = [objective]
     lam = params.initial_damping
     iterations = 0
@@ -520,8 +545,8 @@ def optimize(graph: PoseGraph, params: SolverParams = SolverParams()) -> SolveRe
     else:
         termination = "max_iterations"
         for _ in range(params.max_iterations):
-            blocks = prob.block_sums(r, jac)
-            grad = np.concatenate(blocks[3:])
+            blocks = prob.normal_blocks(poses, e, r)
+            grad = np.concatenate((blocks[4], blocks[5].T.ravel()))
             if float(np.max(np.abs(grad), initial=0.0)) < params.gradient_tol:
                 termination = "gradient_tol"
                 break
@@ -539,11 +564,11 @@ def optimize(graph: PoseGraph, params: SolverParams = SolverParams()) -> SolveRe
                     lam *= params.damping_increase
                     continue
                 candidate = prob.apply_step(poses, delta)
-                r_new, jac_new = prob._linearize(candidate)
-                objective_new = float(r_new @ r_new)
+                e_new, r_new = prob.evaluate(candidate)
+                objective_new = float(np.vdot(r_new, r_new))
                 if objective_new < objective:
                     decrease = objective - objective_new
-                    poses, r, jac = candidate, r_new, jac_new
+                    poses, e, r = candidate, e_new, r_new
                     objective = objective_new
                     lam = max(lam * params.damping_decrease, 1e-15)
                     accepted = True
@@ -561,19 +586,13 @@ def optimize(graph: PoseGraph, params: SolverParams = SolverParams()) -> SolveRe
                 termination = "decrease_tol"
                 break
 
-    agent_poses: dict[str, Pose2] = {}
-    for i, aid in enumerate(graph.agent_ids):
-        if i == prob.ego:
-            agent_poses[aid] = graph.agent_poses[i]
-        else:
-            agent_poses[aid] = Pose2(poses[i, 0], poses[i, 1], poses[i, 2])
-    object_poses = tuple(
-        Pose2(poses[prob.n_agents + k, 0], poses[prob.n_agents + k, 1], poses[prob.n_agents + k, 2])
-        for k in range(len(graph.object_poses))
-    )
+    rows = poses.tolist()
+    agent_poses = {
+        aid: graph.agent_poses[i] if i == prob.ego else Pose2(*rows[i]) for i, aid in enumerate(graph.agent_ids)
+    }
     return SolveResult(
         agent_poses=agent_poses,
-        object_poses=object_poses,
+        object_poses=tuple(Pose2(*row) for row in rows[prob.n_agents :]),
         objective=objective,
         iterations=iterations,
         converged=termination != "max_iterations",

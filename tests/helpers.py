@@ -1,9 +1,11 @@
 """Shared test scaffolding: graphs built from per-edge tuples, randomized
 problem instances, the independent least-squares solve used to cross-check
-the optimizer, and the scalar graph build, late fusion and AP match that the
-columnar ones are checked against."""
+the optimizer, the dense Jacobian and normal equations that the solver's
+blocks are checked against, and the scalar graph build, late fusion and AP
+match that the columnar ones are checked against."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -47,6 +49,44 @@ def random_noisy_graph(rng) -> PoseGraph:
     ]
     measured = [Pose2(a.x + rng.normal(0, 0.3), a.y + rng.normal(0, 0.3), a.theta + rng.normal(0, 0.1)) for a in agents]
     return graph_from_edges([f"a{i}" for i in range(n_agents)], measured, 0, init_objects, edges)
+
+
+def with_anisotropic_info(graph: PoseGraph, rng, max_ratio=1e4) -> PoseGraph:
+    """Copy of the graph whose x and y weights differ by a factor of up to max_ratio either way."""
+    info = graph.info.copy()
+    ratio = np.exp(rng.uniform(-1.0, 1.0, len(info)) * math.log(max_ratio))
+    info[:, 0] *= np.sqrt(ratio)
+    info[:, 1] /= np.sqrt(ratio)
+    return replace(graph, info=info)
+
+
+def dense_jacobian(prob, poses):
+    """Weighted residuals and the dense (3m, n_free) Jacobian, scattered from
+    the solver's own per-edge [A | O] blocks (_Problem.edge_blocks)."""
+    r, blocks = prob.edge_blocks(poses)
+    slot = np.full(prob.n_nodes, len(prob.free_nodes))
+    slot[prob.free_nodes] = np.arange(len(prob.free_nodes))
+    cols = (3 * slot[np.stack((prob.ai, prob.oi), axis=1)][:, :, None] + np.arange(3)).reshape(prob.m, 1, 6)
+    dense = np.zeros((prob.m, 3, prob.n_free + 3))
+    np.put_along_axis(dense, np.broadcast_to(cols, blocks.shape), blocks, axis=2)
+    return r, dense.reshape(3 * prob.m, prob.n_free + 3)[:, : prob.n_free]
+
+
+def dense_normal_equations(blocks):
+    """Dense JᵀJ and Jᵀr over the free state, assembled from _Problem.normal_blocks
+    (whose object parts are component-major)."""
+    h_aa, h_ao, h_xy, h_theta, g_a, g_o = blocks
+    fa, n_o = len(g_a), g_o.shape[1]
+    h_ao = h_ao.reshape(fa, 3, n_o).transpose(0, 2, 1).reshape(fa, 3 * n_o)
+    hess = np.zeros((fa + 3 * n_o, fa + 3 * n_o))
+    hess[:fa, :fa] = h_aa
+    hess[:fa, fa:] = h_ao
+    hess[fa:, :fa] = h_ao.T
+    objects = hess[fa:, fa:].reshape(n_o, 3, n_o, 3)
+    k = np.arange(n_o)
+    objects[k, :2, k, :2] = h_xy.transpose(2, 0, 1)
+    objects[k, 2, k, 2] = h_theta
+    return hess, np.concatenate((g_a, g_o.T.ravel()))
 
 
 def independent_solver_objective(graph: PoseGraph) -> float:

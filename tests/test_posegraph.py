@@ -30,7 +30,16 @@ from agentpose.posegraph import (
 from agentpose.scenario import derive_seed, generate_scene, make_messages
 from agentpose.uncertainty import BoxDetection
 
-from helpers import graph_from_edges, independent_solver_objective, random_noisy_graph, scalar_build_oracle
+import helpers
+from helpers import (
+    dense_jacobian,
+    dense_normal_equations,
+    graph_from_edges,
+    independent_solver_objective,
+    random_noisy_graph,
+    scalar_build_oracle,
+    with_anisotropic_info,
+)
 
 
 def make_box(cx, cy, theta=0.0, var_x=0.04, var_y=0.04, var_theta=0.01, confidence=0.8, agent_id="a"):
@@ -508,6 +517,19 @@ class TestOptimize:
             after = result.agent_poses[graph.ego_id]
             assert (after.x, after.y, after.theta) == (ego_before.x, ego_before.y, ego_before.theta)
 
+    @pytest.mark.parametrize("ego_index", [0, 1, 2])
+    def test_step_leaves_the_ego_row_bit_identical(self, ego_index):
+        graph = random_noisy_graph(np.random.default_rng(106))
+        graph = replace(graph, ego_index=min(ego_index, len(graph.agent_ids) - 1))
+        prob = _Problem(graph)
+        delta = np.random.default_rng(107).uniform(-4.0, 4.0, prob.n_free)
+        moved = prob.apply_step(prob.p0, delta)
+        assert moved[prob.ego].tobytes() == prob.p0[prob.ego].tobytes()
+        want = prob.p0[prob.free_nodes] + delta.reshape(-1, 3)
+        np.testing.assert_array_equal(moved[prob.free_nodes, :2], want[:, :2])
+        np.testing.assert_allclose(np.cos(moved[prob.free_nodes, 2]), np.cos(want[:, 2]), atol=1e-12)
+        assert np.all(np.abs(moved[:, 2]) <= math.pi)
+
     def test_objective_trace_non_increasing(self):
         graph, _, _ = two_agent_graph(perturb=(2.0, -1.5, 0.6))
         result = optimize(graph)
@@ -524,7 +546,7 @@ class TestOptimize:
             prob = _Problem(graph)
             poses = prob.p0.copy()
             poses[prob.free_nodes] += rng.uniform(-0.3, 0.3, (len(prob.free_nodes), 3))
-            _, jac = prob.residuals_and_jacobian(poses)
+            _, jac = dense_jacobian(prob, poses)
             h = 1e-6
             for rank, node in enumerate(prob.free_nodes):
                 for c in range(3):
@@ -662,8 +684,8 @@ class TestNormalEquations:
         prob = _Problem(graph)
         poses = prob.p0.copy()
         poses[prob.free_nodes] += rng.uniform(-0.3, 0.3, (len(prob.free_nodes), 3))
-        hess, grad = prob.normal_equations(*prob._linearize(poses))
-        r, jac = prob.residuals_and_jacobian(poses)
+        hess, grad = dense_normal_equations(prob.normal_blocks(poses, *prob.evaluate(poses)))
+        r, jac = dense_jacobian(prob, poses)
         for got, want in ((hess, jac.T @ jac), (grad, jac.T @ r)):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -672,6 +694,13 @@ class TestNormalEquations:
         rng = np.random.default_rng(96)
         for _ in range(50):
             self.assert_match_dense(random_noisy_graph(rng), rng)
+
+    def test_anisotropic_weights(self):
+        # w_x / w_y up to 1e4 either way makes the object translation block's
+        # off-diagonal (w_x - w_y) cos(phi) sin(phi) large.
+        rng = np.random.default_rng(104)
+        for _ in range(50):
+            self.assert_match_dense(with_anisotropic_info(random_noisy_graph(rng), rng), rng)
 
     @pytest.mark.parametrize(
         "make_graph",
@@ -684,10 +713,11 @@ class TestNormalEquations:
         self.assert_match_dense(graph, np.random.default_rng(97))
 
     def test_optimize_never_forms_the_dense_jacobian(self, monkeypatch):
-        def refuse(self, poses):
+        def refuse(*args):
             raise AssertionError("optimize formed the dense Jacobian")
 
-        monkeypatch.setattr(_Problem, "residuals_and_jacobian", refuse)
+        monkeypatch.setattr(helpers, "dense_jacobian", refuse)
+        monkeypatch.setattr(_Problem, "edge_blocks", refuse)
         graph, true_poses, _ = two_agent_graph(perturb=(1.0, -0.8, 0.2))
         result = optimize(graph)
         assert result.converged and result.iterations > 0
@@ -708,6 +738,32 @@ class TestNormalEquations:
 
 
 class TestDampingLoop:
+    @pytest.mark.parametrize("scene_idx", [9, 41, None])
+    def test_normal_equations_only_on_accepted_states(self, monkeypatch, scene_idx):
+        # Trials evaluate only the residuals; the normal equations are formed at
+        # the start and at each accepted state the loop goes on from.
+        formed_at, evaluated = [], []
+        normal_blocks, evaluate = _Problem.normal_blocks, _Problem.evaluate
+
+        def counting_blocks(self, poses, e, r):
+            formed_at.append(float(np.vdot(r, r)))
+            return normal_blocks(self, poses, e, r)
+
+        def counting_evaluate(self, poses):
+            evaluated.append(poses)
+            return evaluate(self, poses)
+
+        monkeypatch.setattr(_Problem, "normal_blocks", counting_blocks)
+        monkeypatch.setattr(_Problem, "evaluate", counting_evaluate)
+        graph = acceptance_graph(scene_idx) if scene_idx is not None else random_noisy_graph(np.random.default_rng(5))
+        result = optimize(graph)
+        accepted = len(result.objective_trace) - 1
+        assert len(evaluated) == 1 + accepted + result.rejected_steps
+        assert formed_at == list(result.objective_trace[: result.iterations])
+        if scene_idx is not None:
+            assert result.termination == "no_step_accepted" and result.rejected_steps >= 1
+
+
     @pytest.mark.parametrize("scene_idx", [9, 41, 75, 76])
     def test_noise_floor_costs_no_extra_trials(self, monkeypatch, scene_idx):
         # These solves end with a step whose true decrease is below the rounding
@@ -769,10 +825,10 @@ class TestSchurStep:
         prob = _Problem(graph)
         poses = prob.p0.copy()
         poses[prob.free_nodes] += rng.uniform(-0.3, 0.3, (len(prob.free_nodes), 3))
-        r, jac = prob._linearize(poses)
-        hess, grad = prob.normal_equations(r, jac)
+        blocks = prob.normal_blocks(poses, *prob.evaluate(poses))
+        hess, grad = dense_normal_equations(blocks)
         damped = hess + lam * np.eye(prob.n_free)
-        return _schur_step(*prob.block_sums(r, jac), lam), np.linalg.solve(damped, -grad), damped
+        return _schur_step(*blocks, lam), np.linalg.solve(damped, -grad), damped
 
     def assert_step_matches(self, graph, rtol=1e-9, seed=98):
         rng = np.random.default_rng(seed)
@@ -785,6 +841,11 @@ class TestSchurStep:
         rng = np.random.default_rng(99)
         for k in range(50):
             self.assert_step_matches(random_noisy_graph(rng), seed=k)
+
+    def test_anisotropic_weights(self):
+        rng = np.random.default_rng(105)
+        for k in range(50):
+            self.assert_step_matches(with_anisotropic_info(random_noisy_graph(rng), rng), seed=k)
 
     @pytest.mark.parametrize(
         "make_graph",

@@ -1,0 +1,119 @@
+"""Alternating benchmark pairs of this checkout against a base revision.
+
+Run from anywhere, on an idle machine:
+
+    python3 tools/bench_pairs.py --base HEAD~1 --workload large_round --pairs 10 --seed 901
+
+The base revision is checked out with ``git worktree add`` into a temporary
+directory, removed again at the end. Pair k runs ``perfbench/run.py --trace
+0`` with seed S+k once in the base checkout and once in this one, each for
+BENCHMARK.json's ``run_seconds``; the base runs first in even pairs and
+second in odd ones. The script prints each pair's end-to-end values, each
+side's median and quartiles, and per metric:
+
+- the pairs the change won, that is, where it was strictly better;
+- whether a gain holds: the change won at least 9 in 10 pairs and its median
+  is better than the base's by more than the base's interquartile range;
+- whether the change's median is worse than the base's by more than the
+  metric's ``bound``, taken as a share of the base's median.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import bench_record  # noqa: E402
+
+ROOT = bench_record.ROOT
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile, by linear interpolation."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def compare(spec: dict, base: list[dict], change: list[dict]) -> list[dict]:
+    """One summary per end-to-end metric of BENCHMARK.json over aligned base/change runs."""
+    out = []
+    for metric in spec["end_to_end"]:
+        name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+        b = [run["result"]["metrics"][name]["value"] for run in base]
+        c = [run["result"]["metrics"][name]["value"] for run in change]
+        bq1, bmed, bq3 = quartiles(b)
+        cq1, cmed, cq3 = quartiles(c)
+        won = sum(sign * (y - x) > 0.0 for x, y in zip(b, c))
+        limit = bmed * (1.0 - sign * metric["bound"])
+        out.append(
+            {
+                "name": name,
+                "unit": metric["unit"],
+                "pairs": list(zip(b, c)),
+                "base": (bq1, bmed, bq3),
+                "change": (cq1, cmed, cq3),
+                "won": won,
+                "gain": won >= math.ceil(0.9 * len(b)) and sign * (cmed - bmed) > bq3 - bq1,
+                "worse_than_bound": sign * (cmed - limit) < 0.0,
+            }
+        )
+    return out
+
+
+def report(workload: str, seeds: list[int], base: list[dict], change: list[dict], summary: list[dict]) -> None:
+    n = len(seeds)
+    for side, runs in (("base", base), ("change", change)):
+        failed = sum(r["result"]["failed"] for r in runs)
+        attempted = sum(r["result"]["attempted"] for r in runs)
+        print(f"{workload} {side}: {failed} of {attempted} operations failed, {sum(r['exit'] != 0 for r in runs)} runs exited non-zero")
+    for m in summary:
+        print(f"{m['name']} ({m['unit']}), base -> change per seed:")
+        for seed, (x, y) in zip(seeds, m["pairs"]):
+            print(f"  {seed}: {x:.6g} -> {y:.6g}")
+        (bq1, bmed, bq3), (cq1, cmed, cq3) = m["base"], m["change"]
+        print(
+            f"  median {bmed:.6g} [q1 {bq1:.6g}, q3 {bq3:.6g}] -> {cmed:.6g} [q1 {cq1:.6g}, q3 {cq3:.6g}]; "
+            f"change won {m['won']}/{n}; gain holds: {'yes' if m['gain'] else 'no'}; "
+            f"worse than bound: {'yes' if m['worse_than_bound'] else 'no'}"
+        )
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", required=True, help="git revision to compare against")
+    p.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
+    p.add_argument("--pairs", type=int, required=True, help="number of base/change pairs")
+    p.add_argument("--seed", type=int, required=True, help="workload seed of the first pair")
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+    seconds = float(spec["run_seconds"])
+    seeds = [args.seed + k for k in range(args.pairs)]
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        base_root = Path(tmp) / "base"
+        bench_record.git("worktree", "add", "--detach", str(base_root), args.base)
+        try:
+            base, change = [], []
+            for k, seed in enumerate(seeds):
+                sides = [(base_root, base), (ROOT, change)]
+                for root, runs in sides if k % 2 == 0 else sides[::-1]:
+                    runs.append(bench_record.run_once(args.workload, 0, seed, seconds, root=root))
+        finally:
+            bench_record.git("worktree", "remove", "--force", str(base_root))
+    summary = compare(spec, base, change)
+    report(args.workload, seeds, base, change, summary)
+    return 1 if any(r["exit"] != 0 for r in base + change) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,13 +28,14 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def run_once(workload: str, trace: int, seed: int, seconds: float) -> dict:
-    """One perfbench run: its exit status, info line and result line."""
+def run_once(workload: str, trace: int, seed: int, seconds: float, root: Path | None = None) -> dict:
+    """One perfbench run of the checkout at root (default: this one): its exit status, info line and result line."""
+    root = ROOT if root is None else root
     cmd = [
-        sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+        sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace),
     ]
-    out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=seconds * 4 + 900)
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=seconds * 4 + 900)
     lines = out.stdout.strip().splitlines()
     info = [json.loads(line[len("info "):]) for line in lines if line.startswith("info ")]
     if not lines or not lines[-1].startswith("{") or len(info) != 1:
