@@ -33,8 +33,9 @@ def normalize_angle(theta: float) -> float:
 def wrap_angles(angles: np.ndarray) -> np.ndarray:
     """Vectorized normalize_angle, bit for bit; values already in (-pi, pi] pass through exactly.
 
-    fmod returns an angle below TWO_PI in magnitude unchanged, so only the
-    angles it or the two corrections move were out of range.
+    fmod leaves an angle smaller than TWO_PI in magnitude unchanged and
+    neither correction touches one in (-pi, pi], so those pass through; every
+    other angle takes normalize_angle's steps.
     """
     out = np.fmod(np.asarray(angles, dtype=float), TWO_PI)
     np.add(out, TWO_PI, out=out, where=out <= -math.pi)

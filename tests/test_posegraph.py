@@ -763,7 +763,6 @@ class TestDampingLoop:
         if scene_idx is not None:
             assert result.termination == "no_step_accepted" and result.rejected_steps >= 1
 
-
     @pytest.mark.parametrize("scene_idx", [9, 41, 75, 76])
     def test_noise_floor_costs_no_extra_trials(self, monkeypatch, scene_idx):
         # These solves end with a step whose true decrease is below the rounding
