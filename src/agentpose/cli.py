@@ -107,7 +107,7 @@ def _benchmark_config(cfg: dict, seed: int) -> BenchmarkConfig:
     )
     try:
         return BenchmarkConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"invalid config: {exc}") from exc
 
 

@@ -21,6 +21,8 @@ from .geometry import OrientedBox2, Pose2, compose, compose_columns, inverse, ov
 from .posegraph import (
     DEFAULT_CLUSTER_GAP,
     AgentMessage,
+    PoseGraph,
+    SolveResult,
     SolverParams,
     build_pose_graph,
     optimize,
@@ -157,25 +159,14 @@ def _ap_from_ious(rows: list[list[tuple[int, float]]], npos: int, iou_threshold:
         else:
             tp_flags.append(False)
 
-    n = len(tp_flags)
-    precisions = []
-    recalls = []
-    tp = 0
-    for k, flag in enumerate(tp_flags, start=1):
-        if flag:
-            tp += 1
-        precisions.append(tp / k)
-        recalls.append(tp / npos)
-    # Precision envelope (running max from the right), then rectangle sum.
-    for k in range(n - 2, -1, -1):
-        if precisions[k + 1] > precisions[k]:
-            precisions[k] = precisions[k + 1]
-    ap = 0.0
-    prev_recall = 0.0
-    for k in range(n):
-        ap += (recalls[k] - prev_recall) * precisions[k]
-        prev_recall = recalls[k]
-    return ap
+    # Precision envelope (running max from the right), then the rectangle sum
+    # over the recall steps, accumulated left to right.
+    tp = np.cumsum(np.array(tp_flags))
+    recalls = tp / npos
+    envelope = np.maximum.accumulate((tp / np.arange(1, tp.size + 1))[::-1])[::-1]
+    steps = recalls.copy()
+    steps[1:] -= recalls[:-1]
+    return float(np.add.accumulate(steps * envelope)[-1])
 
 
 def average_precision(
@@ -225,12 +216,12 @@ class BenchmarkConfig:
             raise ValueError("scenes must be >= 1")
         if self.num_agents < 1 or self.num_objects < 0:
             raise ValueError("num_agents must be >= 1 and num_objects >= 0")
-        if self.min_object_gap < 0.0:
-            raise ValueError("min_object_gap must be >= 0")
+        if not 0.0 <= self.min_object_gap < math.inf:
+            raise ValueError("min_object_gap must be finite and >= 0")
         for name in ("area", "extent"):
             pair = tuple(float(v) for v in getattr(self, name))
-            if len(pair) != 2 or min(pair) <= 0.0:
-                raise ValueError(f"{name} must be two positive values")
+            if len(pair) != 2 or not all(0.0 < v < math.inf for v in pair):
+                raise ValueError(f"{name} must be two positive finite values")
             object.__setattr__(self, name, pair)
         object.__setattr__(self, "noise_grid", tuple((float(t), float(r)) for t, r in self.noise_grid))
         object.__setattr__(self, "ap_thresholds", tuple(float(t) for t in self.ap_thresholds))
@@ -240,8 +231,8 @@ class BenchmarkConfig:
             self.noise_at(level)  # NoiseSpec checks the kind and both scales
         if not all(0.0 < t < 1.0 for t in self.ap_thresholds):
             raise ValueError("ap_thresholds must be in (0, 1)")
-        if self.cluster_gap <= 0.0:
-            raise ValueError("cluster_gap must be positive")
+        if not 0.0 < self.cluster_gap < math.inf:
+            raise ValueError("cluster_gap must be positive and finite")
         if not 0.0 < self.nms_iou <= 1.0:
             raise ValueError("nms_iou must be in (0, 1]")
 
@@ -332,15 +323,27 @@ def _pair_errors(est: Mapping[str, Pose2], truth: Mapping[str, Pose2]) -> list[t
     ids = sorted(truth)
     out = []
     for i in ids:
-        inv_est = inverse(est[i])
-        inv_true = inverse(truth[i])
-        for j in ids:
-            if i == j:
-                continue
-            out.append(
-                relative_pose_error(compose(inv_est, est[j]), compose(inv_true, truth[j]))
-            )
+        rel_est, rel_true = relative_poses(est, i), relative_poses(truth, i)
+        out.extend(relative_pose_error(rel_est[j], rel_true[j]) for j in ids if j != i)
     return out
+
+
+# The solver-contract counters: each counts the solves of one graph that break
+# one contract. A report pools every key of this table.
+_SOLVER_CONTRACT = {
+    "monotonic_violations": lambda graph, res: any(
+        b > a for a, b in zip(res.objective_trace, res.objective_trace[1:])
+    ),
+    "ego_moved": lambda graph, res: (
+        res.agent_poses[graph.ego_id].as_tuple() != graph.agent_poses[graph.ego_index].as_tuple()
+    ),
+    "nonconverged": lambda graph, res: not res.converged,
+}
+
+
+def _solver_contract(graph: PoseGraph, results: Sequence[SolveResult]) -> dict[str, int]:
+    """How many of the solves of graph break each solver contract."""
+    return {key: sum(broken(graph, res) for res in results) for key, broken in _SOLVER_CONTRACT.items()}
 
 
 def _run_scene(config: BenchmarkConfig, level: int, scene_idx: int) -> dict:
@@ -362,18 +365,6 @@ def _run_scene(config: BenchmarkConfig, level: int, scene_idx: int) -> dict:
     result_w = optimize(graph, config.solver)
     result_i = optimize(with_uniform_info(graph), config.solver)
 
-    monotonic_violations = 0
-    for trace in (result_w.objective_trace, result_i.objective_trace):
-        if any(b > a for a, b in zip(trace, trace[1:])):
-            monotonic_violations += 1
-    ego_before = graph.agent_poses[graph.ego_index]
-    ego_moved = 0
-    for res in (result_w, result_i):
-        after = res.agent_poses[ego_id]
-        if (after.x, after.y, after.theta) != (ego_before.x, ego_before.y, ego_before.theta):
-            ego_moved += 1
-    nonconverged = sum(1 for res in (result_w, result_i) if not res.converged)
-
     truth = {a.agent_id: a.pose for a in scene.agents}
     measured = {m.agent_id: m.measured_pose for m in messages}
     errors = {
@@ -394,9 +385,7 @@ def _run_scene(config: BenchmarkConfig, level: int, scene_idx: int) -> dict:
         "ok": True,
         "errors": errors,
         "ap": ap,
-        "monotonic_violations": monotonic_violations,
-        "ego_moved": ego_moved,
-        "nonconverged": nonconverged,
+        "solver_contract": _solver_contract(graph, (result_w, result_i)),
     }
 
 
@@ -408,68 +397,35 @@ def _quantiles(values: Sequence[float]) -> dict[str, float]:
 
 
 def _level_report(config: BenchmarkConfig, level: int, records: list[dict]) -> EvalReport:
-    noise = config.noise_at(level)
-    skipped = tuple((i, rec["reason"]) for i, rec in enumerate(records) if not rec["ok"])
-    trans: dict[str, list[float]] = {s: [] for s in SERIES_ORDER}
-    rot: dict[str, list[float]] = {s: [] for s in SERIES_ORDER}
-    ap_sums: dict[str, dict[str, float]] = {
-        f"{thr:g}": {"corrected": 0.0, "uncorrected": 0.0} for thr in config.ap_thresholds
-    }
-    contract = {"monotonic_violations": 0, "ego_moved": 0, "nonconverged": 0}
-    n_ok = 0
-    for rec in records:
-        if not rec["ok"]:
-            continue
-        n_ok += 1
-        for series in SERIES_ORDER:
-            for t, r in rec["errors"][series]:
-                trans[series].append(t)
-                rot[series].append(r)
-        for thr, pair in rec["ap"].items():
-            ap_sums[thr]["corrected"] += pair["corrected"]
-            ap_sums[thr]["uncorrected"] += pair["uncorrected"]
-        contract["monotonic_violations"] += rec["monotonic_violations"]
-        contract["ego_moved"] += rec["ego_moved"]
-        contract["nonconverged"] += rec["nonconverged"]
-
-    quantiles = {
-        series: {
-            "translation": _quantiles(trans[series]),
-            "rotation": _quantiles(rot[series]),
-        }
-        for series in SERIES_ORDER
-    }
-    before_t = quantiles[SERIES_BEFORE]["translation"]["median"]
-    before_r = quantiles[SERIES_BEFORE]["rotation"]["median"]
-    degenerate = before_t == 0.0 or before_r == 0.0
+    done = [rec for rec in records if rec["ok"]]
+    errors = {s: [e for rec in done for e in rec["errors"][s]] for s in SERIES_ORDER}
+    trans = {s: tuple(t for t, _ in v) for s, v in errors.items()}
+    rot = {s: tuple(r for _, r in v) for s, v in errors.items()}
+    quantiles = {s: {"translation": _quantiles(trans[s]), "rotation": _quantiles(rot[s])} for s in SERIES_ORDER}
+    before, after = quantiles[SERIES_BEFORE], quantiles[SERIES_AFTER_WEIGHTED]
     ratio: dict[str, float | None] = {
-        "translation": (
-            quantiles[SERIES_AFTER_WEIGHTED]["translation"]["median"] / before_t if before_t > 0.0 else None
-        ),
-        "rotation": (
-            quantiles[SERIES_AFTER_WEIGHTED]["rotation"]["median"] / before_r if before_r > 0.0 else None
-        ),
+        m: (after[m]["median"] / before[m]["median"] if before[m]["median"] > 0.0 else None)
+        for m in ("translation", "rotation")
     }
     ap = {
-        thr: {k: (v / n_ok if n_ok else 0.0) for k, v in sums.items()}
-        for thr, sums in ap_sums.items()
+        key: {
+            kind: (sum(rec["ap"][key][kind] for rec in done) / len(done) if done else 0.0)
+            for kind in ("corrected", "uncorrected")
+        }
+        for key in (f"{thr:g}" for thr in config.ap_thresholds)
     }
     return EvalReport(
-        noise=noise,
+        noise=config.noise_at(level),
         n_scenes=len(records),
-        skipped=skipped,
-        trans_errors={s: tuple(v) for s, v in trans.items()},
-        rot_errors={s: tuple(v) for s, v in rot.items()},
+        skipped=tuple((i, rec["reason"]) for i, rec in enumerate(records) if not rec["ok"]),
+        trans_errors=trans,
+        rot_errors=rot,
         quantiles=quantiles,
         median_reduction_ratio=ratio,
-        degenerate_before=degenerate,
+        degenerate_before=before["translation"]["median"] == 0.0 or before["rotation"]["median"] == 0.0,
         ap=ap,
-        solver_contract=contract,
+        solver_contract={key: sum(rec["solver_contract"][key] for rec in done) for key in _SOLVER_CONTRACT},
     )
-
-
-def _scene_job(args: tuple[BenchmarkConfig, int, int]) -> dict:
-    return _run_scene(*args)
 
 
 def run_benchmark(config: BenchmarkConfig, threads: int = 1) -> BenchmarkResult:
@@ -478,27 +434,20 @@ def run_benchmark(config: BenchmarkConfig, threads: int = 1) -> BenchmarkResult:
     With threads > 1 scenes are evaluated in a process pool; results are
     assembled by scene index, so the report is identical to a serial run.
     """
-    levels = []
-    clean = True
-    jobs = [
-        (config, level, scene_idx)
-        for level in range(len(config.noise_grid))
-        for scene_idx in range(config.scenes)
-    ]
+    jobs = [(config, level, scene_idx) for level in range(len(config.noise_grid)) for scene_idx in range(config.scenes)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_scene_job, jobs, chunksize=8))
+            records = list(pool.map(_run_scene, *zip(*jobs), chunksize=8))
     else:
-        records = [_scene_job(job) for job in jobs]
-    for level in range(len(config.noise_grid)):
-        level_records = records[level * config.scenes : (level + 1) * config.scenes]
-        report = _level_report(config, level, level_records)
-        clean = clean and not report.skipped
-        levels.append(report)
+        records = [_run_scene(*job) for job in jobs]
+    levels = tuple(
+        _level_report(config, level, records[level * config.scenes : (level + 1) * config.scenes])
+        for level in range(len(config.noise_grid))
+    )
     return BenchmarkResult(
         config=_config_dict(config),
-        levels=tuple(levels),
-        status="clean" if clean else "partial",
+        levels=levels,
+        status="partial" if any(lvl.skipped for lvl in levels) else "clean",
     )
 
 

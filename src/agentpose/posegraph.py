@@ -10,7 +10,7 @@ error over all edges with the ego agent's pose held fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,6 +21,8 @@ from .geometry import Pose2, close_pairs, compose, compose_columns, inverse, wra
 from .uncertainty import BoxDetection, information_matrix, transform_box  # noqa: F401
 
 DEFAULT_CLUSTER_GAP = 2.0
+# Pose2 is frozen, so every relative_poses result can share one ego identity.
+_IDENTITY = Pose2.identity()
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,8 @@ class SolverParams:
     gradient_tol: float = 1e-10
 
     def __post_init__(self) -> None:
+        if any(isinstance(v, float) and not math.isfinite(v) for v in (getattr(self, f.name) for f in fields(self))):
+            raise ValueError("solver parameters must be finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.initial_damping <= 0.0:
@@ -609,7 +613,7 @@ def relative_poses(agent_poses: Mapping[str, Pose2], ego_id: str) -> dict[str, P
     ego_inv = inverse(agent_poses[ego_id])
     out: dict[str, Pose2] = {}
     for aid, pose in agent_poses.items():
-        out[aid] = Pose2.identity() if aid == ego_id else compose(ego_inv, pose)
+        out[aid] = _IDENTITY if aid == ego_id else compose(ego_inv, pose)
     return out
 
 

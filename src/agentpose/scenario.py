@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -93,6 +93,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in (_GAUSSIAN, _LAPLACE):
             raise ValueError(f"noise kind must be gaussian or laplace, got {self.kind!r}")
+        if not (math.isfinite(self.trans_scale) and math.isfinite(self.rot_scale)):
+            raise ValueError("noise scales must be finite")
         if self.trans_scale < 0.0 or self.rot_scale < 0.0:
             raise ValueError("noise scales must be >= 0")
 
@@ -119,6 +121,8 @@ class DetectorSpec:
     noise_scale_choices: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        if any(isinstance(v, float) and not math.isfinite(v) for v in (getattr(self, f.name) for f in fields(self))):
+            raise ValueError("detector values must be finite")
         if self.detection_range <= 0.0:
             raise ValueError("detection_range must be positive")
         if not 0.0 <= self.miss_rate <= 1.0:
@@ -133,8 +137,8 @@ class DetectorSpec:
             raise ValueError("confidence_decay must be >= 0")
         if self.noise_scale_choices is not None:
             choices = tuple(float(c) for c in self.noise_scale_choices)
-            if not choices or any(c <= 0.0 for c in choices):
-                raise ValueError("noise_scale_choices must be positive")
+            if not choices or not all(0.0 < c < math.inf for c in choices):
+                raise ValueError("noise_scale_choices must be positive and finite")
             object.__setattr__(self, "noise_scale_choices", choices)
 
 
@@ -157,6 +161,8 @@ def generate_scene(
         raise ValueError("num_objects must be >= 0")
     if area[0] <= 0.0 or area[1] <= 0.0:
         raise ValueError("area must be positive")
+    if not 0.0 <= min_object_gap < math.inf:
+        raise ValueError(f"min_object_gap must be finite and >= 0, got {min_object_gap!r}")
     rng = np.random.default_rng(derive_seed(seed, "scene-gen"))
     hx, hy = 0.5 * float(area[0]), 0.5 * float(area[1])
 

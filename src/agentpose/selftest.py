@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .evaluate import average_precision, relative_pose_error
+from .evaluate import _solver_contract, average_precision, relative_pose_error
 from .geometry import OrientedBox2, Pose2, compose, consistency_error, inverse, normalize_angle, rotated_iou_bev
 from .oracles import ap_bruteforce, closure_clusters, compose_oracle, inverse_oracle, mc_iou
 from .posegraph import build_pose_graph, cluster_boxes, optimize
@@ -154,13 +154,10 @@ def _check_solver_contract() -> tuple[str, bool, str]:
         scene = generate_scene(4, 8, area=(100.0, 100.0), seed=100 + seed)
         messages = make_messages(scene, NoiseSpec(trans_scale=0.5, rot_scale=0.5), DetectorSpec(), seed)
         graph = build_pose_graph(messages, scene.agents[0].agent_id)
-        result = optimize(graph)
-        trace = result.objective_trace
-        if any(b > a for a, b in zip(trace, trace[1:])):
+        contract = _solver_contract(graph, [optimize(graph)])
+        if contract["monotonic_violations"]:
             return ("solver monotonic and gauge-fixed", False, f"seed {seed}: trace increased")
-        ego = graph.agent_poses[graph.ego_index]
-        after = result.agent_poses[graph.ego_id]
-        if (after.x, after.y, after.theta) != (ego.x, ego.y, ego.theta):
+        if contract["ego_moved"]:
             return ("solver monotonic and gauge-fixed", False, f"seed {seed}: ego moved")
     return ("solver monotonic and gauge-fixed", True, "10 noisy scenes")
 

@@ -13,52 +13,27 @@ _BESSEL_SERIES_CUTOFF = 15.0
 _MIN_LOG_VARIANCE = -700.0
 
 
-def _i0_series(x: float) -> float:
-    # I0(x) = sum_k (x^2/4)^k / (k!)^2; all terms positive, no cancellation.
+def _bessel_series(x: float, order: int) -> float:
+    # I_n(x) = (x/2)^n sum_k (x^2/4)^k / (k! (k+n)!) for n = order, without the
+    # (x/2)^n factor; all terms positive, no cancellation.
     q = 0.25 * x * x
     term = 1.0
     acc = 1.0
     for k in range(1, 200):
-        term *= q / (k * k)
+        term *= q / (k * (k + order))
         acc += term
         if term < acc * 1e-17:
             break
     return acc
 
 
-def _i1_series(x: float) -> float:
-    # I1(x) = (x/2) sum_k (x^2/4)^k / (k! (k+1)!)
-    q = 0.25 * x * x
-    term = 1.0
-    acc = 1.0
-    for k in range(1, 200):
-        term *= q / (k * (k + 1))
-        acc += term
-        if term < acc * 1e-17:
-            break
-    return 0.5 * x * acc
-
-
-def _i0_asymptotic_poly(x: float) -> float:
-    # I0(x) ~ e^x / sqrt(2 pi x) * poly(1/x); summed to optimal truncation.
+def _bessel_asymptotic_poly(x: float, order: int) -> float:
+    # I_n(x) ~ e^x / sqrt(2 pi x) * poly(1/x) with mu = 4 n^2; summed to optimal truncation.
+    mu = 4.0 * order * order
     acc = 1.0
     term = 1.0
     for k in range(1, 60):
-        nxt = term * (2 * k - 1) ** 2 / (8.0 * k * x)
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
-        acc += term
-        if abs(term) < acc * 1e-17:
-            break
-    return acc
-
-
-def _i1_asymptotic_poly(x: float) -> float:
-    acc = 1.0
-    term = 1.0
-    for k in range(1, 60):
-        nxt = term * -(4.0 - (2 * k - 1) ** 2) / (8.0 * k * x)
+        nxt = term * -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
         if abs(nxt) >= abs(term):
             break
         term = nxt
@@ -73,8 +48,8 @@ def log_bessel_i0(x: float) -> float:
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"log_bessel_i0 requires finite x >= 0, got {x!r}")
     if x <= _BESSEL_SERIES_CUTOFF:
-        return math.log(_i0_series(x))
-    return x - 0.5 * math.log(math.tau * x) + math.log(_i0_asymptotic_poly(x))
+        return math.log(_bessel_series(x, 0))
+    return x - 0.5 * math.log(math.tau * x) + math.log(_bessel_asymptotic_poly(x, 0))
 
 
 def bessel_i1_over_i0(x: float) -> float:
@@ -82,8 +57,8 @@ def bessel_i1_over_i0(x: float) -> float:
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"bessel_i1_over_i0 requires finite x >= 0, got {x!r}")
     if x <= _BESSEL_SERIES_CUTOFF:
-        return _i1_series(x) / _i0_series(x)
-    return _i1_asymptotic_poly(x) / _i0_asymptotic_poly(x)
+        return 0.5 * x * _bessel_series(x, 1) / _bessel_series(x, 0)
+    return _bessel_asymptotic_poly(x, 1) / _bessel_asymptotic_poly(x, 0)
 
 
 def gaussian_center_loss(x_hat: float, var: float, x0: float) -> tuple[float, tuple[float, float]]:

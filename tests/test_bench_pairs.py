@@ -74,6 +74,17 @@ def test_pairs_alternate_and_the_worktree_is_removed(root, monkeypatch, capsys):
     assert "large_round change: 0 of 400 operations failed" in out
 
 
+def test_exit_status_is_one_when_a_median_is_worse_than_its_bound(root, monkeypatch, capsys):
+    def values_for(side, seed):
+        return (10.0 if side == "base" else 12.6), 0.9, 0
+
+    monkeypatch.setattr(subprocess, "run", fake_run(values_for, []))
+    assert bench_pairs.main(["--base", "HEAD~1", "--workload", "acceptance", "--pairs", "3", "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "change won 0/3; gain holds: no; worse than bound: yes" in out
+    assert "acceptance change: 0 of 300 operations failed, 0 runs exited non-zero" in out
+
+
 def test_worktree_is_removed_when_a_run_fails(root, monkeypatch):
     calls = []
 

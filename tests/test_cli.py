@@ -242,6 +242,20 @@ BAD_CONFIG_VALUES = [
     pytest.param({"cluster_gap": 0}, id="cluster_gap_zero"),
     pytest.param({"cluster_gap": -1}, id="cluster_gap_negative"),
     pytest.param({"nms_iou": 0}, id="nms_iou"),
+    # json.load reads NaN and Infinity; every float field must be finite.
+    pytest.param({"cluster_gap": float("nan")}, id="cluster_gap_nan"),
+    pytest.param({"cluster_gap": float("inf")}, id="cluster_gap_inf"),
+    pytest.param({"area": [float("nan"), 100]}, id="area_nan"),
+    pytest.param({"area": [100, float("inf")]}, id="area_inf"),
+    pytest.param({"min_object_gap": float("nan")}, id="min_object_gap_nan"),
+    pytest.param({"min_object_gap": float("inf")}, id="min_object_gap_inf"),
+    pytest.param({"noise_grid": [[float("nan"), 0.2]]}, id="noise_grid_nan"),
+    pytest.param({"noise_grid": [[0.2, float("inf")]]}, id="noise_grid_inf"),
+    pytest.param({"detector": {"center_noise_sd": float("nan")}}, id="detector_nan"),
+    pytest.param({"detector": {"detection_range": float("inf")}}, id="detector_inf"),
+    pytest.param({"solver": {"initial_damping": float("nan")}}, id="solver_nan"),
+    pytest.param({"solver": {"max_iterations": float("inf")}}, id="solver_inf"),
+    pytest.param({"scenes": float("inf")}, id="scenes_inf"),
 ]
 
 

@@ -4,10 +4,12 @@ report structure and determinism."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import agentpose.evaluate
 from agentpose.evaluate import (
     BenchmarkConfig,
     _ground_truth_in_ego,
@@ -397,13 +399,43 @@ class TestRunBenchmark:
         c = json.dumps(run_benchmark(config, threads=2).to_dict(), sort_keys=True)
         assert a == b == c
 
-    def test_infeasible_scenes_recorded_as_skips(self):
+    def test_infeasible_scenes_recorded_as_skips(self, monkeypatch):
         config = BenchmarkConfig(seed=35, scenes=2, num_objects=500, area=(20.0, 20.0), noise_grid=((0.2, 0.2),))
         result = run_benchmark(config)
         assert result.status == "partial"
         level = result.levels[0]
         assert len(level.skipped) == 2
         assert "infeasible packing" in level.skipped[0][1]
+        # A level with no completed scene pools to zeros.
+        assert level.solver_contract == {"monotonic_violations": 0, "ego_moved": 0, "nonconverged": 0}
+        assert level.ap == {thr: {"corrected": 0.0, "uncorrected": 0.0} for thr in ("0.5", "0.7")}
+        zero = {"p25": 0.0, "median": 0.0, "p75": 0.0}
+        series = ("before", "after_graph", "after_weighted")
+        assert level.quantiles == {s: {"translation": zero, "rotation": zero} for s in series}
+        assert level.median_reduction_ratio == {"translation": None, "rotation": None}
+        assert level.degenerate_before
+
+        # Scenes 3 and 4 of this config cannot be packed. Every solve breaks all
+        # three solver contracts, so each completed scene adds 2 to each counter.
+        def broken(graph, params=None):
+            res = optimize(graph, params)
+            moved = dict(res.agent_poses)
+            moved[graph.ego_id] = Pose2(1.0, 2.0, 0.5)
+            trace = (*res.objective_trace, res.objective + 1.0)
+            return replace(res, agent_poses=moved, converged=False, objective_trace=trace)
+
+        monkeypatch.setattr(agentpose.evaluate, "optimize", broken)
+        config = BenchmarkConfig(seed=35, scenes=6, num_objects=26, area=(30.0, 30.0), noise_grid=((0.2, 0.2),))
+        level = run_benchmark(config).levels[0]
+        assert [i for i, _ in level.skipped] == [3, 4]
+        assert level.n_scenes == 6
+        assert level.solver_contract == {"monotonic_violations": 8, "ego_moved": 8, "nonconverged": 8}
+        assert len(level.trans_errors["before"]) == 4 * 4 * 3
+        records = [_run_scene(config, 0, i) for i in (0, 1, 2, 5)]
+        assert level.ap == {
+            thr: {kind: sum(rec["ap"][thr][kind] for rec in records) / 4 for kind in ("corrected", "uncorrected")}
+            for thr in ("0.5", "0.7")
+        }
 
     def test_seed_required(self):
         with pytest.raises(TypeError):

@@ -20,7 +20,7 @@ from agentpose.geometry import (
     rotated_iou_bev,
     wrap_angles,
 )
-from agentpose.oracles import compose_oracle, inverse_oracle, mc_iou
+from agentpose.oracles import compose_oracle, consistency_oracle, inverse_oracle, mc_iou
 
 
 def random_pose(rng, span=50.0) -> Pose2:
@@ -175,6 +175,13 @@ class TestConsistencyError:
             xi, z = random_pose(rng, 20.0), random_pose(rng, 20.0)
             e = consistency_error(z, xi, compose(xi, z))
             assert np.max(np.abs(e)) <= 1e-10
+
+    def test_inconsistent_triples_match_oracle(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            z, xi, chi = random_pose(rng, 20.0), random_pose(rng, 20.0), random_pose(rng, 20.0)
+            e = consistency_error(z, xi, chi)
+            assert_pose_close(Pose2(*e), consistency_oracle(z.as_tuple(), xi.as_tuple(), chi.as_tuple()), atol=1e-10)
 
     def test_trivial_consistent(self):
         e = consistency_error(Pose2(1.0, 0.0, 0.0), Pose2.identity(), Pose2(1.0, 0.0, 0.0))

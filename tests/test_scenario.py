@@ -70,6 +70,9 @@ class TestGenerateScene:
             generate_scene(0, 1, seed=0)
         with pytest.raises(ValueError):
             generate_scene(1, 1, area=(0.0, 10.0), seed=0)
+        for gap in (-50.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="min_object_gap"):
+                generate_scene(1, 2, seed=0, min_object_gap=gap)
 
 
 class TestCorruptPose:

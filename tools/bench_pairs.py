@@ -16,6 +16,9 @@ side's median and quartiles, and per metric:
   is better than the base's by more than the base's interquartile range;
 - whether the change's median is worse than the base's by more than the
   metric's ``bound``, taken as a share of the base's median.
+
+It exits 1 when a run exited non-zero or some metric is worse than its bound,
+else 0.
 """
 
 from __future__ import annotations
@@ -112,7 +115,8 @@ def main(argv=None) -> int:
             bench_record.git("worktree", "remove", "--force", str(base_root))
     summary = compare(spec, base, change)
     report(args.workload, seeds, base, change, summary)
-    return 1 if any(r["exit"] != 0 for r in base + change) else 0
+    failed = any(r["exit"] != 0 for r in base + change)
+    return 1 if failed or any(m["worse_than_bound"] for m in summary) else 0
 
 
 if __name__ == "__main__":
