@@ -172,7 +172,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     graph = build_pose_graph(messages, ego, center_gap=config.cluster_gap)
     result = optimize(graph, config.solver)
     rel = relative_poses(result.agent_poses, ego)
-    boxes = sum(len(m.boxes) for m in messages)
+    boxes = sum(len(m.block) for m in messages)
     payload = {
         "type": "solve_result",
         "version": 1,

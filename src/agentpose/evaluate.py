@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .posegraph import (
     PoseGraph,
     SolveResult,
     SolverParams,
+    box_columns,
     build_pose_graph,
     optimize,
     relative_poses,
@@ -87,31 +88,32 @@ def late_fuse(
     missing = [a for a in ids if a not in rel_poses]
     if missing:
         raise ValueError(f"relative poses missing for agents {missing}")
-    ranked = sorted(
-        (-box.confidence, m.agent_id, k, a) for a, m in enumerate(messages) for k, box in enumerate(m.boxes)
+    block, owner = box_columns(messages)
+    sizes = [len(m.block) for m in messages]
+    index = np.arange(len(block)) - np.cumsum([0] + sizes[:-1], dtype=np.intp)[owner]
+    rank_of = {a: r for r, a in enumerate(sorted(ids))}
+    sender_rank = np.array([rank_of[a] for a in ids], dtype=np.intp)
+    ranked = np.lexsort((index, sender_rank[owner], -block[:, 10]))
+    # Candidates in rank order, lifted into the ego frame.
+    cand = block[ranked]
+    cand[:, 0], cand[:, 1], cand[:, 6] = compose_columns(
+        [rel_poses[a] for a in ids], owner[ranked], cand[:, 0], cand[:, 1], cand[:, 6]
     )
-    boxes = [messages[a].boxes[k] for _, _, k, a in ranked]
-    cols = np.array([(b.cx, b.cy, b.theta, b.length, b.width) for b in boxes], dtype=float).reshape(-1, 5)
-    gx, gy, gt = compose_columns(
-        [rel_poses[a] for a in ids], np.array([a for *_, a in ranked], dtype=np.intp), cols[:, 0], cols[:, 1], cols[:, 2]
-    )
-    first, second = overlap_pairs(gx, gy, 0.5 * np.hypot(cols[:, 3], cols[:, 4]))
+    first, second = overlap_pairs(cand[:, 0], cand[:, 1], 0.5 * np.hypot(cand[:, 3], cand[:, 4]))
     # Candidates are indexed by rank, so each pair's first end outranks its second.
-    above: list[list[int]] = [[] for _ in boxes]
+    above: list[list[int]] = [[] for _ in range(len(cand))]
     for i, j in zip(first.tolist(), second.tolist()):
         above[j].append(i)
+    rows = cand.tolist()
     fp = {
-        i: OrientedBox2(float(gx[i]), float(gy[i]), boxes[i].length, boxes[i].width, float(gt[i]))
+        i: OrientedBox2(rows[i][0], rows[i][1], rows[i][3], rows[i][4], rows[i][6])
         for i in set(first.tolist()) | set(second.tolist())
     }
-    keep = [False] * len(boxes)
+    keep = [False] * len(rows)
     for j, partners in enumerate(above):
         keep[j] = all(rotated_iou_bev(fp[j], fp[i]) < nms_iou for i in partners if keep[i])
-    return [
-        replace(boxes[i], cx=float(gx[i]), cy=float(gy[i]), theta=float(gt[i]))
-        for i in range(len(boxes))
-        if keep[i]
-    ]
+    box_ids = [a for m in messages for a in m.box_agent_ids]
+    return [BoxDetection(*row, agent_id=box_ids[k]) for row, k, kept in zip(rows, ranked.tolist(), keep) if kept]
 
 
 def _ranked_ious(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,20 +22,73 @@ from .geometry import Pose2, close_pairs, compose, compose_columns, inverse, wra
 from .uncertainty import BoxDetection, information_matrix, transform_box  # noqa: F401
 
 DEFAULT_CLUSTER_GAP = 2.0
+# Columns of a message's box block: the BoxDetection fields but agent_id.
+BOX_WIDTH = 11
 # Pose2 is frozen, so every relative_poses result can share one ego identity.
 _IDENTITY = Pose2.identity()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentMessage:
-    """One agent's collaboration payload: measured global pose plus local-frame boxes."""
+    """One agent's collaboration payload: measured global pose plus local-frame boxes.
+
+    The boxes are one read-only (k, 11) block, a row per box in the field
+    order of BoxDetection: cx, cy, cz, length, width, height, theta, var_x,
+    var_y, var_theta, confidence. block also accepts a sequence of
+    BoxDetection. box_agent_ids holds each box's agent_id and defaults to the
+    message's. The block is validated once, with BoxDetection's errors, and
+    its headings are wrapped as normalize_angle does. Equality compares the
+    block bit for bit.
+    """
 
     agent_id: str
     measured_pose: Pose2
-    boxes: tuple[BoxDetection, ...]
+    block: np.ndarray
+    box_agent_ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "boxes", tuple(self.boxes))
+        block, ids = self.block, self.box_agent_ids
+        if not isinstance(block, np.ndarray):
+            boxes = tuple(block)
+            block = np.array([b.as_vector() + [b.confidence] for b in boxes], dtype=float).reshape(-1, BOX_WIDTH)
+            ids = tuple(b.agent_id for b in boxes) if ids is None else ids
+        if block.ndim != 2 or block.shape[1] != BOX_WIDTH or not np.can_cast(block.dtype, float, "same_kind"):
+            raise ValueError(f"block must be (k, {BOX_WIDTH}) float, got {block.dtype} {block.shape}")
+        block = np.array(block, dtype=float)
+        ids = (self.agent_id,) * len(block) if ids is None else tuple(ids)
+        if len(ids) != len(block):
+            raise ValueError(f"box_agent_ids must name each of the {len(block)} boxes, got {len(ids)}")
+        bad = ~(
+            np.isfinite(block).all(axis=1)
+            & (block[:, 3:6] > 0.0).all(axis=1)
+            & (block[:, 7:10] > 0.0).all(axis=1)
+            & (block[:, 10] >= 0.0)
+            & (block[:, 10] <= 1.0)
+        )
+        if bad.any():
+            BoxDetection(*block[np.argmax(bad)].tolist())  # raises the first bad box's error
+        block[:, 6] = wrap_angles(block[:, 6])
+        block.flags.writeable = False
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "box_agent_ids", ids)
+
+    def _key(self) -> tuple:
+        return (self.agent_id, self.measured_pose, self.block.tobytes(), self.box_agent_ids)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, AgentMessage) else NotImplemented
+
+    @cached_property
+    def boxes(self) -> tuple[BoxDetection, ...]:
+        """The boxes as BoxDetection views, built from the block on first read."""
+        return tuple(BoxDetection(*row, agent_id=a) for row, a in zip(self.block.tolist(), self.box_agent_ids))
+
+
+def box_columns(messages: Sequence[AgentMessage]) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of the messages stacked into one (K, 11) block, and each row's message index."""
+    block = np.concatenate([np.empty((0, BOX_WIDTH))] + [m.block for m in messages])
+    owner = np.repeat(np.arange(len(messages)), [len(m.block) for m in messages])
+    return block, owner
 
 
 @dataclass(frozen=True)
@@ -307,11 +361,9 @@ def build_pose_graph(
     if ego_id not in ids:
         raise ValueError(f"ego agent {ego_id!r} not present in messages")
     ordered = sorted(messages, key=lambda m: m.agent_id)
-    owner = np.repeat(np.arange(len(ordered)), [len(m.boxes) for m in ordered])
-    cols = np.array(
-        [(b.cx, b.cy, b.theta, b.var_x, b.var_y, b.var_theta, b.confidence) for m in ordered for b in m.boxes],
-        dtype=float,
-    ).reshape(-1, 7)
+    block, owner = box_columns(ordered)
+    # cx, cy, theta, var_x, var_y, var_theta, confidence
+    cols = block[:, [0, 1, 6, 7, 8, 9, 10]]
     gx, gy, gt = compose_columns([m.measured_pose for m in ordered], owner, cols[:, 0], cols[:, 1], cols[:, 2])
     labels = _cluster_labels(gx, gy, owner, cols[:, 6], center_gap)
 

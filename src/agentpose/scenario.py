@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Pose2, compose, inverse
-from .posegraph import AgentMessage
-from .uncertainty import BoxDetection, box_from_vector
+from .geometry import Pose2, compose_columns, inverse
+from .posegraph import BOX_WIDTH, AgentMessage
+from .uncertainty import BoxDetection
 
 # Reported variances are floored so zero-noise runs still produce valid
 # (positive definite) information weights.
@@ -72,8 +72,8 @@ class Scene:
         ids = [a.agent_id for a in self.agents] + [o.object_id for o in self.objects]
         if len(set(ids)) != len(ids):
             raise ValueError("agent and object ids must be unique")
-        if self.extent[0] <= 0.0 or self.extent[1] <= 0.0:
-            raise ValueError("extent must be positive")
+        if not all(0.0 < v < math.inf for v in self.extent):
+            raise ValueError(f"extent must be two positive finite values, got {self.extent!r}")
 
     def agent(self, agent_id: str) -> SceneAgent:
         for a in self.agents:
@@ -159,8 +159,8 @@ def generate_scene(
         raise ValueError("need at least one agent")
     if num_objects < 0:
         raise ValueError("num_objects must be >= 0")
-    if area[0] <= 0.0 or area[1] <= 0.0:
-        raise ValueError("area must be positive")
+    if not all(0.0 < float(v) < math.inf for v in area):
+        raise ValueError(f"area must be two positive finite values, got {area!r}")
     if not 0.0 <= min_object_gap < math.inf:
         raise ValueError(f"min_object_gap must be finite and >= 0, got {min_object_gap!r}")
     rng = np.random.default_rng(derive_seed(seed, "scene-gen"))
@@ -174,21 +174,34 @@ def generate_scene(
         for i in range(num_agents)
     )
 
-    placed: list[tuple[float, float]] = []
+    # Placed centres by grid cell of side min_object_gap. A placed centre closer
+    # than the gap lies at most one cell away, and two cells also cover the
+    # rounding of x / gap while it stays below 2**52 in magnitude. Only those
+    # cells are tested, each centre with the all-pairs expression.
+    grid: dict[tuple[int, int], list[tuple[float, float]]] = {}
     objects: list[SceneObject] = []
     gap2 = min_object_gap * min_object_gap
     for k in range(num_objects):
         for _ in range(200):
             x = rng.uniform(-hx, hx)
             y = rng.uniform(-hy, hy)
-            if all((x - px) ** 2 + (y - py) ** 2 >= gap2 for px, py in placed):
+            if gap2 == 0.0:
+                break
+            i, j = math.floor(x / min_object_gap), math.floor(y / min_object_gap)
+            if all(
+                (x - px) ** 2 + (y - py) ** 2 >= gap2
+                for ci in range(i - 2, i + 3)
+                for cj in range(j - 2, j + 3)
+                for px, py in grid.get((ci, cj), ())
+            ):
                 break
         else:
             raise ScenarioError(
                 f"infeasible packing: could not place object {k + 1}/{num_objects} "
                 f"with gap {min_object_gap} m in {area[0]} x {area[1]} m"
             )
-        placed.append((x, y))
+        if gap2 != 0.0:
+            grid.setdefault((i, j), []).append((x, y))
         objects.append(
             SceneObject(
                 object_id=f"obj{k}",
@@ -216,25 +229,34 @@ def corrupt_pose(pose: Pose2, noise: NoiseSpec, rng: np.random.Generator) -> Pos
     return Pose2(pose.x + dx, pose.y + dy, pose.theta + dt)
 
 
-def detect(
-    scene: Scene,
-    agent_id: str,
-    spec: DetectorSpec,
-    rng: np.random.Generator,
-) -> list[BoxDetection]:
-    """Noisy boxes for every visible object, in the agent's true local frame.
+def _object_columns(scene: Scene) -> np.ndarray:
+    """The scene's objects as one (n, 5) block: x, y, theta, length, width."""
+    return np.array(
+        [(o.pose.x, o.pose.y, o.pose.theta, o.length, o.width) for o in scene.objects], dtype=float
+    ).reshape(-1, 5)
 
-    Visibility uses the true agent pose (detection happens on the agent's own
-    observations; pose error only enters through the shared measured pose).
+
+def _detect_block(
+    objects: np.ndarray, agent_pose: Pose2, extent: tuple[float, float], spec: DetectorSpec, rng: np.random.Generator
+) -> np.ndarray:
+    """The boxes of detect as a message block (see AgentMessage), from _object_columns.
+
+    Every object's local pose and the extent test come from one
+    compose_columns step, bit-identical to compose. Each object inside the
+    extent then takes, in object order, the scalar range test and its random
+    numbers: the miss draw, the optional scale choice and three normals.
     """
-    agent = scene.agent(agent_id)
-    inv_pose = inverse(agent.pose)
-    ex, ey = scene.extent
-    out: list[BoxDetection] = []
-    for obj in scene.objects:
-        local = compose(inv_pose, obj.pose)
-        dist = math.hypot(local.x, local.y)
-        if abs(local.x) > ex or abs(local.y) > ey or dist > spec.detection_range:
+    lx, ly, lt = compose_columns(
+        [inverse(agent_pose)], np.zeros(len(objects), dtype=np.intp), objects[:, 0], objects[:, 1], objects[:, 2]
+    )
+    inside = np.flatnonzero((np.abs(lx) <= extent[0]) & (np.abs(ly) <= extent[1]))
+    rows = []
+    for x, y, theta, length, width in zip(
+        lx[inside].tolist(), ly[inside].tolist(), lt[inside].tolist(),
+        objects[inside, 3].tolist(), objects[inside, 4].tolist(),
+    ):
+        dist = math.hypot(x, y)
+        if dist > spec.detection_range:
             continue
         if rng.random() < spec.miss_rate:
             continue
@@ -249,23 +271,27 @@ def detect(
         var_center = max(spec.variance_calibration * center_sd * center_sd, VARIANCE_FLOOR)
         var_heading = max(spec.variance_calibration * heading_sd * heading_sd, VARIANCE_FLOOR)
         confidence = min(max(spec.base_confidence - spec.confidence_decay * dist / spec.detection_range, 0.0), 1.0)
-        out.append(
-            BoxDetection(
-                cx=local.x + nx,
-                cy=local.y + ny,
-                cz=0.0,
-                length=obj.length,
-                width=obj.width,
-                height=1.6,
-                theta=local.theta + nt,
-                var_x=var_center,
-                var_y=var_center,
-                var_theta=var_heading,
-                confidence=confidence,
-                agent_id=agent_id,
-            )
+        rows.append(
+            (x + nx, y + ny, 0.0, length, width, 1.6, theta + nt, var_center, var_center, var_heading, confidence)
         )
-    return out
+    return np.array(rows, dtype=float).reshape(-1, BOX_WIDTH)
+
+
+def detect(
+    scene: Scene,
+    agent_id: str,
+    spec: DetectorSpec,
+    rng: np.random.Generator,
+) -> list[BoxDetection]:
+    """Noisy boxes for every visible object, in the agent's true local frame.
+
+    Visibility uses the true agent pose (detection happens on the agent's own
+    observations; pose error only enters through the shared measured pose).
+    The boxes are the view of the block that make_messages sends.
+    """
+    agent = scene.agent(agent_id)
+    block = _detect_block(_object_columns(scene), agent.pose, scene.extent, spec, rng)
+    return list(AgentMessage(agent_id, agent.pose, block).boxes)
 
 
 def make_messages(
@@ -275,13 +301,14 @@ def make_messages(
     seed: int,
 ) -> list[AgentMessage]:
     """One collaboration round: measured pose plus detections per agent."""
+    objects = _object_columns(scene)
     messages = []
     for agent in scene.agents:
         pose_rng = np.random.default_rng(derive_seed(seed, agent.agent_id, "pose"))
         det_rng = np.random.default_rng(derive_seed(seed, agent.agent_id, "detect"))
         measured = corrupt_pose(agent.pose, noise, pose_rng)
-        boxes = detect(scene, agent.agent_id, det, det_rng)
-        messages.append(AgentMessage(agent.agent_id, measured, tuple(boxes)))
+        block = _detect_block(objects, agent.pose, scene.extent, det, det_rng)
+        messages.append(AgentMessage(agent.agent_id, measured, block))
     return messages
 
 
@@ -344,6 +371,13 @@ def scene_from_dict(data: dict) -> Scene:
     return Scene(agents=agents, objects=objects, extent=extent)
 
 
+def _box_row(vec, confidence: float) -> list[float]:
+    """One block row from a wire box, with box_from_vector's checks."""
+    if len(vec) != 10:
+        raise ValueError(f"box vector must have 10 fields, got {len(vec)}")
+    return [float(v) for v in vec] + [confidence]
+
+
 def messages_to_dict(messages: Sequence[AgentMessage]) -> dict:
     return {
         "type": "messages",
@@ -352,7 +386,7 @@ def messages_to_dict(messages: Sequence[AgentMessage]) -> dict:
             {
                 "agent_id": m.agent_id,
                 "measured_pose": _pose_to_list(m.measured_pose),
-                "boxes": [{"b": b.as_vector(), "confidence": b.confidence} for b in m.boxes],
+                "boxes": [{"b": row[:10], "confidence": row[10]} for row in m.block.tolist()],
             }
             for m in messages
         ],
@@ -366,10 +400,9 @@ def messages_from_dict(data: dict) -> list[AgentMessage]:
     try:
         for i, m in enumerate(data["messages"]):
             aid = str(m["agent_id"])
-            boxes = tuple(
-                box_from_vector(b["b"], float(b["confidence"]), aid) for b in m["boxes"]
-            )
-            out.append(AgentMessage(aid, _pose_from_list(m["measured_pose"], f"messages[{i}]"), boxes))
+            rows = [_box_row(b["b"], float(b["confidence"])) for b in m["boxes"]]
+            block = np.array(rows, dtype=float).reshape(-1, BOX_WIDTH)
+            out.append(AgentMessage(aid, _pose_from_list(m["measured_pose"], f"messages[{i}]"), block))
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"messages: malformed field ({exc!r})") from exc
     return out

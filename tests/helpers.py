@@ -1,8 +1,9 @@
 """Shared test scaffolding: graphs built from per-edge tuples, randomized
 problem instances, the independent least-squares solve used to cross-check
 the optimizer, the dense Jacobian and normal equations that the solver's
-blocks are checked against, and the scalar graph build, late fusion and AP
-match that the columnar ones are checked against."""
+blocks are checked against, and the scalar graph build, late fusion, AP
+match, detector and object placement that the columnar ones are checked
+against."""
 
 import math
 from dataclasses import replace
@@ -13,7 +14,8 @@ from scipy.optimize import least_squares
 from agentpose.geometry import Pose2, compose, inverse, rotated_iou_bev
 from agentpose.oracles import graph_residual_oracle
 from agentpose.posegraph import PoseGraph
-from agentpose.uncertainty import transform_box
+from agentpose.scenario import VARIANCE_FLOOR, ScenarioError, Scene, SceneAgent, SceneObject, derive_seed
+from agentpose.uncertainty import BoxDetection, transform_box
 
 
 def graph_from_edges(agent_ids, agent_poses, ego_index, object_poses, edges) -> PoseGraph:
@@ -232,3 +234,85 @@ def scalar_average_precision(detections, ground_truth, iou_threshold):
         ap += (recalls[k] - prev) * precisions[k]
         prev = recalls[k]
     return ap
+
+
+def scalar_generate_scene(num_agents, num_objects, area=(100.0, 100.0), seed=0, extent=(140.0, 140.0), min_object_gap=5.0):
+    """generate_scene with each candidate centre tested against every placed one."""
+    rng = np.random.default_rng(derive_seed(seed, "scene-gen"))
+    hx, hy = 0.5 * float(area[0]), 0.5 * float(area[1])
+
+    agents = tuple(
+        SceneAgent(
+            agent_id=f"agent{i}",
+            pose=Pose2(rng.uniform(-hx, hx), rng.uniform(-hy, hy), rng.uniform(-math.pi, math.pi)),
+        )
+        for i in range(num_agents)
+    )
+
+    placed = []
+    objects = []
+    gap2 = min_object_gap * min_object_gap
+    for k in range(num_objects):
+        for _ in range(200):
+            x = rng.uniform(-hx, hx)
+            y = rng.uniform(-hy, hy)
+            if all((x - px) ** 2 + (y - py) ** 2 >= gap2 for px, py in placed):
+                break
+        else:
+            raise ScenarioError(
+                f"infeasible packing: could not place object {k + 1}/{num_objects} "
+                f"with gap {min_object_gap} m in {area[0]} x {area[1]} m"
+            )
+        placed.append((x, y))
+        objects.append(
+            SceneObject(
+                object_id=f"obj{k}",
+                pose=Pose2(x, y, rng.uniform(-math.pi, math.pi)),
+                length=rng.uniform(3.8, 5.2),
+                width=rng.uniform(1.7, 2.1),
+            )
+        )
+    return Scene(agents=agents, objects=tuple(objects), extent=extent)
+
+
+def scalar_detect(scene, agent_id, spec, rng):
+    """detect one object at a time, each local pose from compose, each box a BoxDetection."""
+    agent = scene.agent(agent_id)
+    inv_pose = inverse(agent.pose)
+    ex, ey = scene.extent
+    out = []
+    for obj in scene.objects:
+        local = compose(inv_pose, obj.pose)
+        dist = math.hypot(local.x, local.y)
+        if abs(local.x) > ex or abs(local.y) > ey or dist > spec.detection_range:
+            continue
+        if rng.random() < spec.miss_rate:
+            continue
+        scale = 1.0
+        if spec.noise_scale_choices is not None:
+            scale = spec.noise_scale_choices[int(rng.integers(len(spec.noise_scale_choices)))]
+        center_sd = spec.center_noise_sd * scale
+        heading_sd = spec.heading_noise_sd * scale
+        nx = float(rng.normal(0.0, center_sd))
+        ny = float(rng.normal(0.0, center_sd))
+        nt = float(rng.normal(0.0, heading_sd))
+        var_center = max(spec.variance_calibration * center_sd * center_sd, VARIANCE_FLOOR)
+        var_heading = max(spec.variance_calibration * heading_sd * heading_sd, VARIANCE_FLOOR)
+        confidence = min(max(spec.base_confidence - spec.confidence_decay * dist / spec.detection_range, 0.0), 1.0)
+        out.append(
+            BoxDetection(
+                cx=local.x + nx,
+                cy=local.y + ny,
+                cz=0.0,
+                length=obj.length,
+                width=obj.width,
+                height=1.6,
+                theta=local.theta + nt,
+                var_x=var_center,
+                var_y=var_center,
+                var_theta=var_heading,
+                confidence=confidence,
+                agent_id=agent_id,
+            )
+        )
+    return out

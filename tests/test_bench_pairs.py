@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py: pairing, alternation, worktree clean-up and the
-gain and bound rules, checked with perfbench and git replaced by canned output."""
+"""tools/bench_pairs.py: pairing, alternation, worktree clean-up, set-up
+probes and the gain and bound rules, checked with perfbench and git replaced
+by canned output."""
 
 import importlib.util
 import json
@@ -21,6 +22,7 @@ SPEC = {
     "workloads": [{"name": "large_round"}, {"name": "acceptance"}],
     "end_to_end": [
         {"name": "scene_ms_p90", "unit": "ms", "better": "lower", "bound": 0.25},
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
         {"name": "trans_reduction", "unit": "share", "better": "higher", "bound": 0.03},
     ],
 }
@@ -47,7 +49,11 @@ def fake_run(values_for, calls):
         assert kwargs["cwd"] == Path(cmd[1]).parents[1]
         calls.append((side, seed))
         p90, trans, failed = values_for(side, seed)
-        metrics = {"scene_ms_p90": {"value": p90, "unit": "ms"}, "trans_reduction": {"value": trans, "unit": "share"}}
+        metrics = {
+            "scene_ms_p90": {"value": p90, "unit": "ms"},
+            "setup_s": {"value": 1.0, "unit": "s"},
+            "trans_reduction": {"value": trans, "unit": "share"},
+        }
         result = {"correct": failed == 0, "attempted": 100, "failed": failed, "metrics": metrics}
         return subprocess.CompletedProcess(cmd, int(failed > 0), f"info {{}}\n{json.dumps(result)}\n", "")
 
@@ -98,6 +104,68 @@ def test_worktree_is_removed_when_a_run_fails(root, monkeypatch):
     with pytest.raises(SystemExit, match="printed no result"):
         bench_pairs.main(["--base", "HEAD~1", "--workload", "large_round", "--pairs", "2", "--seed", "1"])
     assert calls == [["worktree", "add"], ["worktree", "remove"]]
+
+
+def fake_probe(seconds_for, calls):
+    """subprocess.run stand-in: git succeeds; a set-up probe prints seconds_for(side, seed)."""
+
+    def run(cmd, **kwargs):
+        if cmd[0] == "git":
+            calls.append(("git", *cmd[1:3]))
+            return subprocess.CompletedProcess(cmd, 0, "", "")
+        side = "change" if Path(cmd[1]).parents[1] == bench_record.ROOT else "base"
+        seed = int(cmd[cmd.index("--seed") + 1])
+        assert cmd[-1] == "--setup-only" and cmd[cmd.index("--workload") + 1] == "large_round"
+        assert kwargs["cwd"] == Path(cmd[1]).parents[1]
+        calls.append((side, seed))
+        seconds = seconds_for(side, seed)
+        if seconds is None:
+            return subprocess.CompletedProcess(cmd, 1, "", "Traceback ...")
+        return subprocess.CompletedProcess(cmd, 0, f"{seconds!r}\n", "")
+
+    return run
+
+
+def test_setup_probes_alternate_and_compare_setup_s_only(root, monkeypatch, capsys):
+    calls = []
+
+    def seconds_for(side, seed):
+        return (1.30 + 0.01 * (seed % 4)) if side == "base" else (0.70 + 0.01 * (seed % 4))
+
+    monkeypatch.setattr(subprocess, "run", fake_probe(seconds_for, calls))
+    argv = ["--base", "HEAD~1", "--workload", "large_round", "--setup-probes", "10", "--seed", "3"]
+    assert bench_pairs.main(argv) == 0
+    assert calls[0] == ("git", "worktree", "add") and calls[-1] == ("git", "worktree", "remove")
+    assert calls[1:5] == [("base", 3), ("change", 3), ("change", 4), ("base", 4)]
+    assert len(calls) == 2 + 20
+    out = capsys.readouterr().out
+    assert "setup_s (s), base -> change per seed:" in out and "scene_ms_p90" not in out
+    assert "  3: 1.33 -> 0.73" in out
+    assert "median 1.315 [q1 1.3025, q3 1.3275] -> 0.715 [q1 0.7025, q3 0.7275]; base IQR 0.025" in out
+    assert "change won 10/10; gain holds: yes; worse than bound: no" in out
+    assert "operations failed" not in out
+
+
+def test_setup_probes_exit_one_when_setup_is_worse_than_its_bound(root, monkeypatch, capsys):
+    monkeypatch.setattr(subprocess, "run", fake_probe(lambda side, seed: 1.0 if side == "base" else 1.3, []))
+    argv = ["--base", "HEAD~1", "--workload", "large_round", "--setup-probes", "2", "--seed", "1"]
+    assert bench_pairs.main(argv) == 1
+    assert "change won 0/2; gain holds: no; worse than bound: yes" in capsys.readouterr().out
+
+
+def test_worktree_is_removed_when_a_probe_prints_nothing(root, monkeypatch):
+    calls = []
+    monkeypatch.setattr(subprocess, "run", fake_probe(lambda side, seed: None if side == "change" else 1.0, calls))
+    with pytest.raises(SystemExit, match="set-up probe printed no seconds"):
+        bench_pairs.main(["--base", "HEAD~1", "--workload", "large_round", "--setup-probes", "2", "--seed", "1"])
+    assert calls == [("git", "worktree", "add"), ("base", 1), ("change", 1), ("git", "worktree", "remove")]
+
+
+def test_pairs_and_setup_probes_exclude_each_other(root):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--base", "X", "--workload", "large_round", "--pairs", "2", "--setup-probes", "2", "--seed", "1"])
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--base", "X", "--workload", "large_round", "--seed", "1"])
 
 
 def runs(values, name="scene_ms_p90"):

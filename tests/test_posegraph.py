@@ -27,7 +27,7 @@ from agentpose.posegraph import (
     relative_poses,
     with_uniform_info,
 )
-from agentpose.scenario import derive_seed, generate_scene, make_messages
+from agentpose.scenario import DetectorSpec, NoiseSpec, derive_seed, generate_scene, make_messages
 from agentpose.uncertainty import BoxDetection
 
 import helpers
@@ -735,6 +735,22 @@ class TestNormalEquations:
         scene = str(tmp_path / "scene.json")
         assert main(["generate", "--seed", "3", "--out", scene]) == 0
         assert main(["solve", "--scene", scene, "--seed", "3", "--out", str(tmp_path / "solve.json")]) == 0
+
+    def test_hot_path_never_builds_the_box_view(self, monkeypatch, tmp_path):
+        def refuse(self):
+            raise AssertionError("the BoxDetection view was built")
+
+        monkeypatch.setattr(AgentMessage, "boxes", property(refuse))
+        result = run_benchmark(BenchmarkConfig(seed=5, scenes=20, noise_grid=((0.6, 0.6),)))
+        assert result.status == "clean" and result.levels[0].n_scenes == 20
+        scene = generate_scene(12, 200, (200.0, 200.0), 5, (140.0, 140.0), 5.0)
+        messages = make_messages(scene, NoiseSpec("gaussian", 0.6, 0.6), DetectorSpec(), 5)
+        graph = build_pose_graph(messages, "agent0")
+        solved = optimize(graph)
+        assert solved.converged and len(relative_poses(solved.agent_poses, "agent0")) == 12
+        scene_path, solve_path = str(tmp_path / "scene.json"), str(tmp_path / "solve.json")
+        assert main(["generate", "--seed", "3", "--out", scene_path]) == 0
+        assert main(["solve", "--scene", scene_path, "--seed", "3", "--out", solve_path]) == 0
 
 
 class TestDampingLoop:

@@ -1,12 +1,16 @@
 """Scenario tests: determinism, packing, noise statistics, detector
-calibration, and the JSON wire formats."""
+calibration, the scalar references of placement and detection, and the JSON
+wire formats."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from agentpose.geometry import Pose2, compose
+from agentpose.posegraph import AgentMessage
+from agentpose.uncertainty import BoxDetection
 from agentpose.scenario import (
     DetectorSpec,
     NoiseSpec,
@@ -24,6 +28,7 @@ from agentpose.scenario import (
     scene_from_dict,
     scene_to_dict,
 )
+from helpers import scalar_detect, scalar_generate_scene
 
 
 class TestGenerateScene:
@@ -73,6 +78,46 @@ class TestGenerateScene:
         for gap in (-50.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="min_object_gap"):
                 generate_scene(1, 2, seed=0, min_object_gap=gap)
+
+    @pytest.mark.parametrize("side", [math.nan, math.inf, -math.inf])
+    def test_non_finite_area_and_extent_rejected(self, side):
+        with pytest.raises(ValueError, match="area must be two positive finite values"):
+            generate_scene(1, 1, (side, 5.0))
+        with pytest.raises(ValueError, match="area must be two positive finite values"):
+            generate_scene(1, 1, (5.0, side))
+        agents = (SceneAgent("a0", Pose2.identity()),)
+        for extent in ((side, 5.0), (5.0, side)):
+            with pytest.raises(ValueError, match="extent must be two positive finite values"):
+                Scene(agents=agents, objects=(), extent=extent)
+
+
+class TestPlacementMatchesScalar:
+    """generate_scene's grid test places the objects that testing every placed one would."""
+
+    @pytest.mark.parametrize(
+        "agents, objects, side, gap",
+        [(4, 10, 100.0, 5.0), (12, 200, 200.0, 5.0), (16, 400, 240.0, 5.0), (3, 40, 30.0, 0.0),
+         (3, 30, 40.0, 1e-3), (2, 60, 50.0, 4.9), (2, 30, 1.0e6, 1.0e5)],
+    )
+    def test_scenes_equal(self, agents, objects, side, gap):
+        def outcome(generate, args):
+            try:
+                return generate(*args)
+            except ScenarioError as exc:
+                return str(exc)
+
+        for seed in range(12):
+            args = (agents, objects, (side, 0.75 * side), seed, (140.0, 140.0), gap)
+            assert outcome(generate_scene, args) == outcome(scalar_generate_scene, args)
+
+    def test_infeasible_packing_error_unchanged(self):
+        for seed in range(3):
+            args = (1, 60, (30.0, 30.0), seed, (140.0, 140.0), 5.0)
+            with pytest.raises(ScenarioError) as scalar:
+                scalar_generate_scene(*args)
+            with pytest.raises(ScenarioError) as grid:
+                generate_scene(*args)
+            assert str(grid.value) == str(scalar.value)
 
 
 class TestCorruptPose:
@@ -259,6 +304,128 @@ class TestMakeMessages:
         msgs_big = make_messages(big, noise, DetectorSpec(), seed=13)
         assert msgs_small[0] == msgs_big[0]
         assert msgs_small[1] == msgs_big[1]
+
+
+# Detector and pose-noise variants of the draw-order oracle: misses, per-box
+# scale choices, over-reported variances and Laplace pose noise.
+DETECTOR_VARIANTS = [
+    (DetectorSpec(), NoiseSpec("gaussian", 0.6, 0.6)),
+    (DetectorSpec(miss_rate=0.2, detection_range=90.0), NoiseSpec("laplace", 0.6, 0.6)),
+    (DetectorSpec(miss_rate=0.3, noise_scale_choices=(0.5, 1.0, 2.0)), NoiseSpec("gaussian", 0.4, 0.4)),
+    (DetectorSpec(variance_calibration=2.0, center_noise_sd=0.0), NoiseSpec("laplace", 1.0, 2.0)),
+]
+
+
+def box_block(boxes) -> bytes:
+    return np.array([b.as_vector() + [b.confidence] for b in boxes], dtype=float).reshape(-1, 11).tobytes()
+
+
+class TestMessagesMatchScalar:
+    """make_messages draws every random number that the per-object detect loop draws, in its order."""
+
+    @pytest.mark.parametrize("variant", range(len(DETECTOR_VARIANTS)))
+    def test_blocks_and_measured_poses_bit_identical(self, variant):
+        det, noise = DETECTOR_VARIANTS[variant]
+        for seed in range(200):
+            scene = generate_scene(5, 12, area=(220.0, 160.0), seed=seed, extent=(90.0, 60.0))
+            messages = make_messages(scene, noise, det, seed)
+            assert [m.agent_id for m in messages] == [a.agent_id for a in scene.agents]
+            for agent, msg in zip(scene.agents, messages):
+                pose_rng = np.random.default_rng(derive_seed(seed, agent.agent_id, "pose"))
+                det_rng = np.random.default_rng(derive_seed(seed, agent.agent_id, "detect"))
+                assert msg.measured_pose.as_tuple() == corrupt_pose(agent.pose, noise, pose_rng).as_tuple()
+                assert msg.block.tobytes() == box_block(scalar_detect(scene, agent.agent_id, det, det_rng))
+
+    def test_detect_is_the_view_of_the_block(self):
+        scene = generate_scene(3, 20, area=(150.0, 150.0), seed=4)
+        det = DETECTOR_VARIANTS[2][0]
+        for agent in scene.agents:
+            rng_a, rng_b = (np.random.default_rng(derive_seed(4, agent.agent_id, "detect")) for _ in range(2))
+            assert detect(scene, agent.agent_id, det, rng_a) == scalar_detect(scene, agent.agent_id, det, rng_b)
+
+    def test_extent_and_range_boundaries_are_inside(self):
+        objects = tuple(
+            SceneObject(f"o{k}", Pose2(x, y, 0.0), 4.0, 2.0)
+            for k, (x, y) in enumerate([(140.0, 0.0), (0.0, -130.0), (-90.0, 120.0), (140.5, 0.0), (0.0, 130.5), (120.0, 91.0)])
+        )
+        scene = Scene(agents=(SceneAgent("a0", Pose2.identity()),), objects=objects, extent=(140.0, 130.0))
+        spec = DetectorSpec(detection_range=150.0)
+        boxes = detect(scene, "a0", spec, np.random.default_rng(0))
+        assert boxes == scalar_detect(scene, "a0", spec, np.random.default_rng(0))
+        assert len(boxes) == 3
+
+    def test_no_objects(self):
+        messages = make_messages(generate_scene(2, 0, seed=1), NoiseSpec(), DetectorSpec(), seed=1)
+        assert [m.block.shape for m in messages] == [(0, 11), (0, 11)]
+
+
+# One valid wire box, field by field: the ten vector fields, then confidence.
+GOOD_ROW = [3.0, -1.0, 0.0, 4.4, 1.9, 1.6, 0.3, 0.04, 0.04, 0.0025, 0.8]
+FIELDS = ("cx", "cy", "cz", "length", "width", "height", "theta", "var_x", "var_y", "var_theta", "confidence")
+BAD_FIELDS = (
+    [(name, bad) for name in FIELDS for bad in (math.nan, math.inf)]
+    + [(name, bad) for name in ("length", "width", "height", "var_x", "var_y", "var_theta") for bad in (0.0, -1.0)]
+    + [("confidence", -0.1), ("confidence", 1.1)]
+)
+
+
+class TestMessageValidation:
+    """A bad box field raises BoxDetection's ValueError through every way into a message."""
+
+    @pytest.mark.parametrize("name, bad", BAD_FIELDS)
+    def test_same_error_as_box_detection(self, name, bad):
+        row = list(GOOD_ROW)
+        row[FIELDS.index(name)] = bad
+        with pytest.raises(ValueError) as direct:
+            BoxDetection(*row)
+        block = np.array([GOOD_ROW, row, GOOD_ROW])
+        with pytest.raises(ValueError) as columns:
+            AgentMessage("a0", Pose2.identity(), block)
+        wire = {
+            "type": "messages",
+            "version": 1,
+            "messages": [
+                {"agent_id": "a0", "measured_pose": [0.0, 0.0, 0.0], "boxes": [{"b": r[:10], "confidence": r[10]} for r in block.tolist()]}
+            ],
+        }
+        with pytest.raises(ValueError) as parsed:
+            messages_from_dict(wire)
+        assert str(columns.value) == str(parsed.value) == str(direct.value)
+
+    def test_first_bad_box_decides_the_error(self):
+        late, early = list(GOOD_ROW), list(GOOD_ROW)
+        late[3] = -1.0  # a box dimension
+        early[10] = 2.0  # confidence
+        with pytest.raises(ValueError, match="confidence must be in"):
+            AgentMessage("a0", Pose2.identity(), np.array([GOOD_ROW, early, late]))
+
+    def test_block_shape_and_agent_ids_checked(self):
+        with pytest.raises(ValueError, match="block must be"):
+            AgentMessage("a0", Pose2.identity(), np.zeros((2, 10)))
+        with pytest.raises(ValueError, match="box_agent_ids"):
+            AgentMessage("a0", Pose2.identity(), np.array([GOOD_ROW]), ("a0", "a1"))
+
+    def test_block_is_read_only_and_headings_wrapped(self):
+        row = list(GOOD_ROW)
+        row[6] = 3.0 * math.pi
+        msg = AgentMessage("a0", Pose2.identity(), np.array([row]))
+        assert msg.block[0, 6] == BoxDetection(*row).theta
+        with pytest.raises(ValueError):
+            msg.block[0, 0] = 1.0
+
+    def test_boxes_and_block_give_equal_messages(self):
+        scene = generate_scene(3, 8, seed=5)
+        for msg in make_messages(scene, NoiseSpec(trans_scale=0.2), DetectorSpec(), seed=5):
+            again = AgentMessage(msg.agent_id, msg.measured_pose, msg.boxes)
+            assert again == msg and again.boxes == msg.boxes
+            assert msg.boxes is msg.boxes
+
+    def test_wire_round_trip_is_byte_for_byte(self):
+        scene = generate_scene(4, 30, area=(150.0, 150.0), seed=6)
+        for det, noise in DETECTOR_VARIANTS:
+            text = json.dumps(messages_to_dict(make_messages(scene, noise, det, seed=6)), sort_keys=True)
+            again = json.dumps(messages_to_dict(messages_from_dict(json.loads(text))), sort_keys=True)
+            assert again == text
 
 
 class TestJsonFormats:

@@ -3,13 +3,18 @@
 Run from anywhere, on an idle machine:
 
     python3 tools/bench_pairs.py --base HEAD~1 --workload large_round --pairs 10 --seed 901
+    python3 tools/bench_pairs.py --base HEAD~1 --workload large_round --setup-probes 20 --seed 901
 
 The base revision is checked out with ``git worktree add`` into a temporary
-directory, removed again at the end. Pair k runs ``perfbench/run.py --trace
-0`` with seed S+k once in the base checkout and once in this one, each for
-BENCHMARK.json's ``run_seconds``; the base runs first in even pairs and
-second in odd ones. The script prints each pair's end-to-end values, each
-side's median and quartiles, and per metric:
+directory, removed again at the end. With ``--pairs N``, pair k runs
+``perfbench/run.py --trace 0`` with seed S+k once in the base checkout and
+once in this one, each for BENCHMARK.json's ``run_seconds``. With
+``--setup-probes N``, pair k instead runs one fresh interpreter of
+``perfbench/run.py --setup-only`` with seed S+k on each side and compares the
+set-up seconds it prints as ``setup_s``: one probe takes seconds where a
+benchmark run that reports ``setup_s`` takes ``run_seconds``. The base runs
+first in even pairs and second in odd ones. The script prints each pair's
+end-to-end values, each side's median and quartiles, and per metric:
 
 - the pairs the change won, that is, where it was strictly better;
 - whether a gain holds: the change won at least 9 in 10 pairs and its median
@@ -72,12 +77,15 @@ def compare(spec: dict, base: list[dict], change: list[dict]) -> list[dict]:
     return out
 
 
-def report(workload: str, seeds: list[int], base: list[dict], change: list[dict], summary: list[dict]) -> None:
-    n = len(seeds)
+def report_failures(workload: str, base: list[dict], change: list[dict]) -> None:
     for side, runs in (("base", base), ("change", change)):
         failed = sum(r["result"]["failed"] for r in runs)
         attempted = sum(r["result"]["attempted"] for r in runs)
         print(f"{workload} {side}: {failed} of {attempted} operations failed, {sum(r['exit'] != 0 for r in runs)} runs exited non-zero")
+
+
+def report(seeds: list[int], summary: list[dict]) -> None:
+    n = len(seeds)
     for m in summary:
         print(f"{m['name']} ({m['unit']}), base -> change per seed:")
         for seed, (x, y) in zip(seeds, m["pairs"]):
@@ -85,9 +93,25 @@ def report(workload: str, seeds: list[int], base: list[dict], change: list[dict]
         (bq1, bmed, bq3), (cq1, cmed, cq3) = m["base"], m["change"]
         print(
             f"  median {bmed:.6g} [q1 {bq1:.6g}, q3 {bq3:.6g}] -> {cmed:.6g} [q1 {cq1:.6g}, q3 {cq3:.6g}]; "
-            f"change won {m['won']}/{n}; gain holds: {'yes' if m['gain'] else 'no'}; "
+            f"base IQR {bq3 - bq1:.6g}; change won {m['won']}/{n}; gain holds: {'yes' if m['gain'] else 'no'}; "
             f"worse than bound: {'yes' if m['worse_than_bound'] else 'no'}"
         )
+
+
+def setup_probe(workload: str, seed: int, root: Path) -> dict:
+    """One fresh-interpreter ``perfbench/run.py --setup-only`` of the checkout at root, as a run with metric setup_s."""
+    cmd = [
+        sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+        "--seed", str(seed), "--seconds", "0", "--trace", "0", "--setup-only",
+    ]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=900)
+    try:
+        seconds = float(out.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        raise SystemExit(
+            f"bench_pairs: {workload} set-up probe printed no seconds (exit {out.returncode}):\n{out.stderr[-2000:]}"
+        ) from None
+    return {"exit": out.returncode, "result": {"metrics": {"setup_s": {"value": seconds}}}}
 
 
 def main(argv=None) -> int:
@@ -95,13 +119,26 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision to compare against")
     p.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
-    p.add_argument("--pairs", type=int, required=True, help="number of base/change pairs")
+    count = p.add_mutually_exclusive_group(required=True)
+    count.add_argument("--pairs", type=int, help="number of base/change benchmark pairs")
+    count.add_argument("--setup-probes", type=int, help="number of base/change set-up probe pairs")
     p.add_argument("--seed", type=int, required=True, help="workload seed of the first pair")
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be at least 1")
-    seconds = float(spec["run_seconds"])
-    seeds = [args.seed + k for k in range(args.pairs)]
+    n = args.setup_probes if args.pairs is None else args.pairs
+    if n < 1:
+        p.error("--pairs and --setup-probes must be at least 1")
+    if args.pairs is None:
+        spec = dict(spec, end_to_end=[m for m in spec["end_to_end"] if m["name"] == "setup_s"])
+
+        def run(root: Path, seed: int) -> dict:
+            return setup_probe(args.workload, seed, root)
+    else:
+        seconds = float(spec["run_seconds"])
+
+        def run(root: Path, seed: int) -> dict:
+            return bench_record.run_once(args.workload, 0, seed, seconds, root=root)
+
+    seeds = [args.seed + k for k in range(n)]
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         base_root = Path(tmp) / "base"
         bench_record.git("worktree", "add", "--detach", str(base_root), args.base)
@@ -110,11 +147,13 @@ def main(argv=None) -> int:
             for k, seed in enumerate(seeds):
                 sides = [(base_root, base), (ROOT, change)]
                 for root, runs in sides if k % 2 == 0 else sides[::-1]:
-                    runs.append(bench_record.run_once(args.workload, 0, seed, seconds, root=root))
+                    runs.append(run(root, seed))
         finally:
             bench_record.git("worktree", "remove", "--force", str(base_root))
     summary = compare(spec, base, change)
-    report(args.workload, seeds, base, change, summary)
+    if args.pairs is not None:
+        report_failures(args.workload, base, change)
+    report(seeds, summary)
     failed = any(r["exit"] != 0 for r in base + change)
     return 1 if failed or any(m["worse_than_bound"] for m in summary) else 0
 
