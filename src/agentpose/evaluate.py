@@ -88,16 +88,15 @@ def late_fuse(
     missing = [a for a in ids if a not in rel_poses]
     if missing:
         raise ValueError(f"relative poses missing for agents {missing}")
-    block, owner = box_columns(messages)
-    sizes = [len(m.block) for m in messages]
-    index = np.arange(len(block)) - np.cumsum([0] + sizes[:-1], dtype=np.intp)[owner]
-    rank_of = {a: r for r, a in enumerate(sorted(ids))}
-    sender_rank = np.array([rank_of[a] for a in ids], dtype=np.intp)
-    ranked = np.lexsort((index, sender_rank[owner], -block[:, 10]))
+    ordered = sorted(messages, key=lambda m: m.agent_id)
+    block, owner = box_columns(ordered)
+    # A stable sort keeps equal confidences in the stacked order: by agent_id,
+    # then box index.
+    ranked = np.argsort(-block[:, 10], kind="stable")
     # Candidates in rank order, lifted into the ego frame.
     cand = block[ranked]
     cand[:, 0], cand[:, 1], cand[:, 6] = compose_columns(
-        [rel_poses[a] for a in ids], owner[ranked], cand[:, 0], cand[:, 1], cand[:, 6]
+        [rel_poses[m.agent_id] for m in ordered], owner[ranked], cand[:, 0], cand[:, 1], cand[:, 6]
     )
     first, second = overlap_pairs(cand[:, 0], cand[:, 1], 0.5 * np.hypot(cand[:, 3], cand[:, 4]))
     # Candidates are indexed by rank, so each pair's first end outranks its second.
@@ -112,7 +111,7 @@ def late_fuse(
     keep = [False] * len(rows)
     for j, partners in enumerate(above):
         keep[j] = all(rotated_iou_bev(fp[j], fp[i]) < nms_iou for i in partners if keep[i])
-    box_ids = [a for m in messages for a in m.box_agent_ids]
+    box_ids = [a for m in ordered for a in m.box_agent_ids]
     return [BoxDetection(*row, agent_id=box_ids[k]) for row, k, kept in zip(rows, ranked.tolist(), keep) if kept]
 
 
