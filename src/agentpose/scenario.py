@@ -174,20 +174,22 @@ def generate_scene(
         for i in range(num_agents)
     )
 
-    # Placed centres by grid cell of side min_object_gap. A placed centre closer
-    # than the gap lies at most one cell away, and two cells also cover the
-    # rounding of x / gap while it stays below 2**52 in magnitude. Only those
-    # cells are tested, each centre with the all-pairs expression.
+    # Placed centres by grid cell of side min_object_gap, or 2**-40 of the
+    # larger half side if that is more, so that |x / cell| < 2**41. A placed
+    # centre closer than the gap lies at most one cell away, two after the
+    # rounding of x / cell. Only those cells are tested, each centre with the
+    # all-pairs expression.
     grid: dict[tuple[int, int], list[tuple[float, float]]] = {}
     objects: list[SceneObject] = []
     gap2 = min_object_gap * min_object_gap
+    cell = max(min_object_gap, 2.0**-40 * max(hx, hy))
     for k in range(num_objects):
         for _ in range(200):
             x = rng.uniform(-hx, hx)
             y = rng.uniform(-hy, hy)
             if gap2 == 0.0:
                 break
-            i, j = math.floor(x / min_object_gap), math.floor(y / min_object_gap)
+            i, j = math.floor(x / cell), math.floor(y / cell)
             if all(
                 (x - px) ** 2 + (y - py) ** 2 >= gap2
                 for ci in range(i - 2, i + 3)

@@ -97,7 +97,7 @@ class TestPlacementMatchesScalar:
     @pytest.mark.parametrize(
         "agents, objects, side, gap",
         [(4, 10, 100.0, 5.0), (12, 200, 200.0, 5.0), (16, 400, 240.0, 5.0), (3, 40, 30.0, 0.0),
-         (3, 30, 40.0, 1e-3), (2, 60, 50.0, 4.9), (2, 30, 1.0e6, 1.0e5)],
+         (3, 30, 40.0, 1e-3), (2, 60, 50.0, 4.9), (2, 30, 1.0e6, 1.0e5), (2, 30, 1.0e150, 1.0e-160)],
     )
     def test_scenes_equal(self, agents, objects, side, gap):
         def outcome(generate, args):
