@@ -174,15 +174,16 @@ def generate_scene(
         for i in range(num_agents)
     )
 
-    # Placed centres by grid cell of side min_object_gap, or 2**-40 of the
-    # larger half side if that is more, so that |x / cell| < 2**41. A placed
-    # centre closer than the gap lies at most one cell away, two after the
-    # rounding of x / cell. Only those cells are tested, each centre with the
-    # all-pairs expression.
-    grid: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    # Every placed centre is filed under its grid cell and the eight around it,
+    # so a candidate reads one cell. A cell is a little wider than the gap, and
+    # at least 2**-40 of the larger half side, so |x / cell| <= 2**40 and a
+    # centre closer than the gap lies at most one cell away even after the
+    # rounding of x / cell. Each centre read is tested with the all-pairs
+    # expression.
+    near: dict[tuple[int, int], list[tuple[float, float]]] = {}
     objects: list[SceneObject] = []
     gap2 = min_object_gap * min_object_gap
-    cell = max(min_object_gap, 2.0**-40 * max(hx, hy))
+    cell = max(min_object_gap * (1.0 + 2.0**-10), 2.0**-40 * max(hx, hy))
     for k in range(num_objects):
         for _ in range(200):
             x = rng.uniform(-hx, hx)
@@ -190,12 +191,7 @@ def generate_scene(
             if gap2 == 0.0:
                 break
             i, j = math.floor(x / cell), math.floor(y / cell)
-            if all(
-                (x - px) ** 2 + (y - py) ** 2 >= gap2
-                for ci in range(i - 2, i + 3)
-                for cj in range(j - 2, j + 3)
-                for px, py in grid.get((ci, cj), ())
-            ):
+            if all((x - px) ** 2 + (y - py) ** 2 >= gap2 for px, py in near.get((i, j), ())):
                 break
         else:
             raise ScenarioError(
@@ -203,7 +199,9 @@ def generate_scene(
                 f"with gap {min_object_gap} m in {area[0]} x {area[1]} m"
             )
         if gap2 != 0.0:
-            grid.setdefault((i, j), []).append((x, y))
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    near.setdefault((i + di, j + dj), []).append((x, y))
         objects.append(
             SceneObject(
                 object_id=f"obj{k}",
