@@ -10,7 +10,6 @@ import pytest
 
 from agentpose.geometry import Pose2, compose
 from agentpose.posegraph import AgentMessage
-from agentpose.uncertainty import BoxDetection
 from agentpose.scenario import (
     DetectorSpec,
     NoiseSpec,
@@ -28,6 +27,7 @@ from agentpose.scenario import (
     scene_from_dict,
     scene_to_dict,
 )
+from agentpose.uncertainty import BoxDetection
 from helpers import scalar_detect, scalar_generate_scene
 
 
