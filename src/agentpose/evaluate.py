@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
@@ -437,6 +436,9 @@ def run_benchmark(config: BenchmarkConfig, threads: int = 1) -> BenchmarkResult:
     """
     jobs = [(config, level, scene_idx) for level in range(len(config.noise_grid)) for scene_idx in range(config.scenes)]
     if threads > 1:
+        # Imported here: multiprocessing costs a serial run's import about 20 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(_run_scene, *zip(*jobs), chunksize=8))
     else:

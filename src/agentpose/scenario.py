@@ -163,14 +163,15 @@ def generate_scene(
         raise ValueError(f"area must be two positive finite values, got {area!r}")
     if not 0.0 <= min_object_gap < math.inf:
         raise ValueError(f"min_object_gap must be finite and >= 0, got {min_object_gap!r}")
-    rng = np.random.default_rng(derive_seed(seed, "scene-gen"))
+    # Each rng.uniform(lo, hi) of the placement is written as the bare draw
+    # lo + (hi - lo) * rng.random(), which is the same number from the same
+    # stream (pinned in tests/test_scenario.py).
+    rnd = np.random.default_rng(derive_seed(seed, "scene-gen")).random
     hx, hy = 0.5 * float(area[0]), 0.5 * float(area[1])
+    wx, wy, wt = hx - -hx, hy - -hy, math.pi - -math.pi
 
     agents = tuple(
-        SceneAgent(
-            agent_id=f"agent{i}",
-            pose=Pose2(rng.uniform(-hx, hx), rng.uniform(-hy, hy), rng.uniform(-math.pi, math.pi)),
-        )
+        SceneAgent(agent_id=f"agent{i}", pose=Pose2(-hx + wx * rnd(), -hy + wy * rnd(), -math.pi + wt * rnd()))
         for i in range(num_agents)
     )
 
@@ -186,8 +187,8 @@ def generate_scene(
     cell = max(min_object_gap * (1.0 + 2.0**-10), 2.0**-40 * max(hx, hy))
     for k in range(num_objects):
         for _ in range(200):
-            x = rng.uniform(-hx, hx)
-            y = rng.uniform(-hy, hy)
+            x = -hx + wx * rnd()
+            y = -hy + wy * rnd()
             if gap2 == 0.0:
                 break
             i, j = math.floor(x / cell), math.floor(y / cell)
@@ -205,9 +206,9 @@ def generate_scene(
         objects.append(
             SceneObject(
                 object_id=f"obj{k}",
-                pose=Pose2(x, y, rng.uniform(-math.pi, math.pi)),
-                length=rng.uniform(3.8, 5.2),
-                width=rng.uniform(1.7, 2.1),
+                pose=Pose2(x, y, -math.pi + wt * rnd()),
+                length=3.8 + (5.2 - 3.8) * rnd(),
+                width=1.7 + (2.1 - 1.7) * rnd(),
             )
         )
     return Scene(agents=agents, objects=tuple(objects), extent=extent)
@@ -217,7 +218,7 @@ def _draw(rng: np.random.Generator, kind: str, scale: float) -> float:
     if scale == 0.0:
         return 0.0
     if kind == _GAUSSIAN:
-        return float(rng.normal(0.0, scale))
+        return 0.0 + scale * rng.standard_normal()  # rng.normal(0.0, scale), bit for bit
     return float(rng.laplace(0.0, scale))
 
 
@@ -242,39 +243,53 @@ def _detect_block(
     """The boxes of detect as a message block (see AgentMessage), from _object_columns.
 
     Every object's local pose and the extent test come from one
-    compose_columns step, bit-identical to compose. Each object inside the
-    extent then takes, in object order, the scalar range test and its random
-    numbers: the miss draw, the optional scale choice and three normals.
+    compose_columns step, bit-identical to compose, and each candidate's range
+    from the scalar math.hypot. One loop over the candidates, in object order,
+    then makes the draws and nothing else: the miss draw, the optional scale
+    choice and three standard normals. Every column is computed after it, in
+    the per-box operand order: a noise term rng.normal(0.0, sd) is
+    0.0 + sd * z bit for bit (pinned in tests/test_scenario.py), and the
+    confidence clamp keeps a -0.0, as the scalar max(c, 0.0) does.
     """
     lx, ly, lt = compose_columns(
         [inverse(agent_pose)], np.zeros(len(objects), dtype=np.intp), objects[:, 0], objects[:, 1], objects[:, 2]
     )
     inside = np.flatnonzero((np.abs(lx) <= extent[0]) & (np.abs(ly) <= extent[1]))
-    rows = []
-    for x, y, theta, length, width in zip(
-        lx[inside].tolist(), ly[inside].tolist(), lt[inside].tolist(),
-        objects[inside, 3].tolist(), objects[inside, 4].tolist(),
-    ):
-        dist = math.hypot(x, y)
-        if dist > spec.detection_range:
+    rnd, normal, choices = rng.random, rng.standard_normal, spec.noise_scale_choices
+    kept: list[int] = []
+    dist: list[float] = []
+    picks: list[int] = []
+    z: list[float] = []
+    for k, d in zip(inside.tolist(), map(math.hypot, lx[inside].tolist(), ly[inside].tolist())):
+        if d > spec.detection_range or rnd() < spec.miss_rate:
             continue
-        if rng.random() < spec.miss_rate:
-            continue
-        scale = 1.0
-        if spec.noise_scale_choices is not None:
-            scale = spec.noise_scale_choices[int(rng.integers(len(spec.noise_scale_choices)))]
-        center_sd = spec.center_noise_sd * scale
-        heading_sd = spec.heading_noise_sd * scale
-        nx = float(rng.normal(0.0, center_sd))
-        ny = float(rng.normal(0.0, center_sd))
-        nt = float(rng.normal(0.0, heading_sd))
-        var_center = max(spec.variance_calibration * center_sd * center_sd, VARIANCE_FLOOR)
-        var_heading = max(spec.variance_calibration * heading_sd * heading_sd, VARIANCE_FLOOR)
-        confidence = min(max(spec.base_confidence - spec.confidence_decay * dist / spec.detection_range, 0.0), 1.0)
-        rows.append(
-            (x + nx, y + ny, 0.0, length, width, 1.6, theta + nt, var_center, var_center, var_heading, confidence)
-        )
-    return np.array(rows, dtype=float).reshape(-1, BOX_WIDTH)
+        if choices is not None:
+            picks.append(int(rng.integers(len(choices))))
+        kept.append(k)
+        dist.append(d)
+        z += normal(3).tolist()
+    if not kept:
+        return np.empty((0, BOX_WIDTH))
+
+    rows = np.array(kept)
+    # Noise sd of (x, y, theta) per box; the variance columns share the order.
+    sd = np.array([spec.center_noise_sd, spec.center_noise_sd, spec.heading_noise_sd])
+    if choices is not None:
+        sd = sd * np.array(choices)[picks][:, None]
+    noise = sd * np.array(z).reshape(-1, 3)
+    noise += 0.0
+    block = np.empty((len(kept), BOX_WIDTH))
+    block[:, 0] = lx[rows] + noise[:, 0]
+    block[:, 1] = ly[rows] + noise[:, 1]
+    block[:, 2] = 0.0
+    block[:, 3:5] = objects[rows, 3:5]
+    block[:, 5] = 1.6
+    block[:, 6] = lt[rows] + noise[:, 2]
+    block[:, 7:10] = np.maximum(spec.variance_calibration * sd * sd, VARIANCE_FLOOR)
+    confidence = spec.base_confidence - spec.confidence_decay * np.array(dist) / spec.detection_range
+    confidence[confidence < 0.0] = 0.0
+    block[:, 10] = np.minimum(confidence, 1.0)
+    return block
 
 
 def detect(

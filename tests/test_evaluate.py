@@ -4,7 +4,11 @@ report structure and determinism."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,6 +402,21 @@ class TestRunBenchmark:
         b = json.dumps(run_benchmark(config).to_dict(), sort_keys=True)
         c = json.dumps(run_benchmark(config, threads=2).to_dict(), sort_keys=True)
         assert a == b == c
+
+    def test_serial_run_loads_no_process_pool(self):
+        # The pool is imported on first use, so importing the package and a
+        # serial run leave multiprocessing unloaded.
+        code = (
+            "import sys, agentpose\n"
+            "from agentpose.evaluate import BenchmarkConfig, run_benchmark\n"
+            "run_benchmark(BenchmarkConfig(seed=36, scenes=4))\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))\n"
+        )
+        src = str(Path(agentpose.evaluate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_infeasible_scenes_recorded_as_skips(self, monkeypatch):
         config = BenchmarkConfig(seed=35, scenes=2, num_objects=500, area=(20.0, 20.0), noise_grid=((0.2, 0.2),))

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from agentpose.geometry import Pose2, compose
+from agentpose.geometry import Pose2, compose, inverse
 from agentpose.posegraph import AgentMessage
 from agentpose.scenario import (
     DetectorSpec,
@@ -29,6 +29,66 @@ from agentpose.scenario import (
 )
 from agentpose.uncertainty import BoxDetection
 from helpers import scalar_detect, scalar_generate_scene
+
+
+# Half sides of the areas the tests and perfbench place in, as generate_scene
+# computes them, for the stream identities below.
+HALF_SIDES = [0.5 * float(v) for v in (100.0, 75.0, 120.0, 200.0, 150.0, 240.0, 180.0, 30.0, 22.5, 1.0e6, 1.0e150)]
+NORMAL_SCALES = (0.0, 5e-324, 0.05, 0.2, 3.0, 1e3)
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestStreamIdentities:
+    """The bare draws the simulator makes give the numbers of the calls it replaced.
+
+    generate_scene writes rng.uniform(lo, hi) as lo + (hi - lo) * rng.random(),
+    and the detector and corrupt_pose write rng.normal(0.0, s) as
+    0.0 + s * rng.standard_normal(). Both hold bit for bit on the streams'
+    interleaving; a NumPy release that breaks one fails here by name.
+    """
+
+    def test_uniform_is_scaled_random(self):
+        pairs = [(-h, h) for h in HALF_SIDES] + [(-math.pi, math.pi), (3.8, 5.2), (1.7, 2.1)]
+        a, b = np.random.default_rng(101), np.random.default_rng(101)
+        want, got = [], []
+        for k in range(120_000):
+            lo, hi = pairs[k % len(pairs)]
+            want.append(a.uniform(lo, hi))
+            got.append(lo + (hi - lo) * b.random())
+        assert bits(got) == bits(want), f"uniform(lo, hi) != lo + (hi - lo) * random() on NumPy {np.__version__}"
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_normal_is_scaled_standard_normal(self):
+        a, b = np.random.default_rng(102), np.random.default_rng(102)
+        want, got = [], []
+        for k in range(120_000):
+            scale = NORMAL_SCALES[k % len(NORMAL_SCALES)]
+            want.append(a.normal(0.0, scale))
+            got.append(0.0 + scale * b.standard_normal())
+            if k % 5 == 0:  # the detector's miss draw sits between the normals
+                want.append(a.random())
+                got.append(b.random())
+        assert bits(got) == bits(want), f"normal(0.0, s) != 0.0 + s * standard_normal() on NumPy {np.__version__}"
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_vector_standard_normal_is_three_scalar_draws(self):
+        a, b = np.random.default_rng(103), np.random.default_rng(103)
+        want, got = [], []
+        for _ in range(40_000):
+            want += [a.standard_normal(), a.standard_normal(), a.standard_normal(), a.random()]
+            got += b.standard_normal(3).tolist() + [b.random()]
+        assert bits(got) == bits(want), f"standard_normal(3) != three standard_normal() on NumPy {np.__version__}"
+
+    def test_zero_scale_normal_consumes_one_draw(self):
+        a, b, fresh = (np.random.default_rng(104) for _ in range(3))
+        assert a.normal(0.0, 0.0) == 0.0
+        b.standard_normal()
+        assert a.bit_generator.state == b.bit_generator.state != fresh.bit_generator.state, (
+            f"normal(0.0, 0.0) does not consume one standard normal on NumPy {np.__version__}"
+        )
 
 
 class TestGenerateScene:
@@ -109,6 +169,12 @@ class TestPlacementMatchesScalar:
         for seed in range(12):
             args = (agents, objects, (side, 0.75 * side), seed, (140.0, 140.0), gap)
             assert outcome(generate_scene, args) == outcome(scalar_generate_scene, args)
+
+    def test_benchmark_shape(self):
+        # perfbench's large rounds: 12 agents and 200 objects in 200 x 200 m.
+        for seed in range(6):
+            args = (12, 200, (200.0, 200.0), seed, (140.0, 140.0), 5.0)
+            assert generate_scene(*args) == scalar_generate_scene(*args)
 
     def test_infeasible_packing_error_unchanged(self):
         for seed in range(3):
@@ -323,18 +389,49 @@ def box_block(boxes) -> bytes:
 class TestMessagesMatchScalar:
     """make_messages draws every random number that the per-object detect loop draws, in its order."""
 
+    @staticmethod
+    def assert_round_matches(scene, noise, det, seed):
+        messages = make_messages(scene, noise, det, seed)
+        assert [m.agent_id for m in messages] == [a.agent_id for a in scene.agents]
+        for agent, msg in zip(scene.agents, messages):
+            pose_rng = np.random.default_rng(derive_seed(seed, agent.agent_id, "pose"))
+            det_rng = np.random.default_rng(derive_seed(seed, agent.agent_id, "detect"))
+            assert msg.measured_pose.as_tuple() == corrupt_pose(agent.pose, noise, pose_rng).as_tuple()
+            assert msg.block.tobytes() == box_block(scalar_detect(scene, agent.agent_id, det, det_rng))
+        return messages
+
     @pytest.mark.parametrize("variant", range(len(DETECTOR_VARIANTS)))
     def test_blocks_and_measured_poses_bit_identical(self, variant):
         det, noise = DETECTOR_VARIANTS[variant]
         for seed in range(200):
             scene = generate_scene(5, 12, area=(220.0, 160.0), seed=seed, extent=(90.0, 60.0))
-            messages = make_messages(scene, noise, det, seed)
-            assert [m.agent_id for m in messages] == [a.agent_id for a in scene.agents]
-            for agent, msg in zip(scene.agents, messages):
-                pose_rng = np.random.default_rng(derive_seed(seed, agent.agent_id, "pose"))
-                det_rng = np.random.default_rng(derive_seed(seed, agent.agent_id, "detect"))
-                assert msg.measured_pose.as_tuple() == corrupt_pose(agent.pose, noise, pose_rng).as_tuple()
-                assert msg.block.tobytes() == box_block(scalar_detect(scene, agent.agent_id, det, det_rng))
+            self.assert_round_matches(scene, noise, det, seed)
+
+    @pytest.mark.parametrize("variant", range(len(DETECTOR_VARIANTS)))
+    def test_benchmark_shape(self, variant):
+        # perfbench's large rounds: 12 agents, 200 objects, 200 x 200 m, extent 140 m, gap 5 m.
+        det, noise = DETECTOR_VARIANTS[variant]
+        for seed in range(4):
+            scene = generate_scene(12, 200, area=(200.0, 200.0), seed=seed, extent=(140.0, 140.0), min_object_gap=5.0)
+            self.assert_round_matches(scene, noise, det, seed)
+
+    def test_benchmark_shape_all_missed_and_exact_headings(self):
+        scene = generate_scene(12, 200, area=(200.0, 200.0), seed=5, extent=(140.0, 140.0), min_object_gap=5.0)
+        noise = NoiseSpec("gaussian", 0.6, 0.6)
+        missed = self.assert_round_matches(scene, noise, DetectorSpec(miss_rate=1.0), 5)
+        assert [m.block.shape for m in missed] == [(0, 11)] * 12
+        exact = self.assert_round_matches(scene, noise, DetectorSpec(heading_noise_sd=0.0), 5)
+        assert sum(len(m.block) for m in exact) > 1000
+        for agent, msg in zip(scene.agents, exact):
+            expected = [compose(inverse(agent.pose), o.pose).theta for o in scene.objects]
+            assert set(msg.block[:, 6].tolist()) <= set(expected)
+
+    def test_signed_zero_confidence_kept(self):
+        # max(-0.0, 0.0) is -0.0 in the scalar clamp; the column clamp keeps it.
+        scene = generate_scene(3, 20, area=(150.0, 150.0), seed=6)
+        det = DetectorSpec(base_confidence=-0.0, confidence_decay=0.0)
+        messages = self.assert_round_matches(scene, NoiseSpec(), det, 6)
+        assert all(math.copysign(1.0, c) == -1.0 for m in messages for c in m.block[:, 10].tolist())
 
     def test_detect_is_the_view_of_the_block(self):
         scene = generate_scene(3, 20, area=(150.0, 150.0), seed=4)
