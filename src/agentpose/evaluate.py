@@ -436,7 +436,7 @@ def run_benchmark(config: BenchmarkConfig, threads: int = 1) -> BenchmarkResult:
     """
     jobs = [(config, level, scene_idx) for level in range(len(config.noise_grid)) for scene_idx in range(config.scenes)]
     if threads > 1:
-        # Imported here: multiprocessing costs a serial run's import about 20 ms.
+        # Imported on first use: multiprocessing adds about 20 ms to importing the package.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -277,7 +277,7 @@ def _detect_block(
     if choices is not None:
         sd = sd * np.array(choices)[picks][:, None]
     noise = sd * np.array(z).reshape(-1, 3)
-    noise += 0.0
+    noise += 0.0  # normal's loc: a -0.0 product becomes 0.0, as in the scalar draw
     block = np.empty((len(kept), BOX_WIDTH))
     block[:, 0] = lx[rows] + noise[:, 0]
     block[:, 1] = ly[rows] + noise[:, 1]
