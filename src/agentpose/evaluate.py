@@ -16,7 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import OrientedBox2, Pose2, compose, compose_columns, inverse, overlap_pairs, rotated_iou_bev
+from .geometry import (
+    OrientedBox2, Pose2, compose, compose_columns, footprint_iou, footprints, inverse, overlap_pairs, wrap_angles,
+)
 from .posegraph import (
     DEFAULT_CLUSTER_GAP,
     AgentMessage,
@@ -34,13 +36,14 @@ from .scenario import (
     NoiseSpec,
     ScenarioError,
     Scene,
+    _object_columns,
     derive_seed,
     generate_scene,
     make_messages,
 )
-# rotated_iou_bev must be looked up by name here and transform_box stays bound though
-# unused: both are names in perfbench/tracing.py's INTERCEPTED table, which rebinds
-# them in this module.
+# rotated_iou_bev and transform_box stay bound though unused: both are names in
+# perfbench/tracing.py's INTERCEPTED table, which rebinds them in this module.
+from .geometry import rotated_iou_bev  # noqa: F401
 from .uncertainty import BoxDetection, transform_box  # noqa: F401
 
 DEFAULT_NMS_IOU = 0.15
@@ -65,20 +68,8 @@ def relative_pose_error(estimated: Pose2, truth: Pose2) -> tuple[float, float]:
     return math.hypot(d.x, d.y), abs(math.degrees(d.theta))
 
 
-def late_fuse(
-    messages: Sequence[AgentMessage],
-    rel_poses: Mapping[str, Pose2],
-    nms_iou: float = DEFAULT_NMS_IOU,
-) -> list[BoxDetection]:
-    """Warp every agent's boxes into the ego frame and apply confidence NMS.
-
-    rel_poses maps each sender's frame into the ego frame. Candidates are
-    ranked by descending confidence with (agent_id, box index) as the tie
-    break, so the output does not depend on message order; a candidate is
-    dropped when it overlaps an already kept box at IoU >= nms_iou. Boxes are
-    lifted as columns, and rotated_iou_bev runs only on the pairs whose
-    circumcircles may meet: every other pair has IoU 0.
-    """
+def _fuse_rows(messages, rel_poses, nms_iou: float) -> tuple[np.ndarray, list[str]]:
+    """The rows late_fuse keeps, in the ego frame and in rank order, and their agent ids."""
     if not 0.0 < nms_iou <= 1.0:
         raise ValueError(f"nms_iou must be in (0, 1], got {nms_iou!r}")
     ids = [m.agent_id for m in messages]
@@ -102,39 +93,49 @@ def late_fuse(
     above: list[list[int]] = [[] for _ in range(len(cand))]
     for i, j in zip(first.tolist(), second.tolist()):
         above[j].append(i)
-    rows = cand.tolist()
-    fp = {
-        i: OrientedBox2(rows[i][0], rows[i][1], rows[i][3], rows[i][4], rows[i][6])
-        for i in set(first.tolist()) | set(second.tolist())
-    }
-    keep = [False] * len(rows)
+    fp = footprints(*cand[:, [0, 1, 3, 4, 6]].T)
+    keep = [False] * len(cand)
     for j, partners in enumerate(above):
-        keep[j] = all(rotated_iou_bev(fp[j], fp[i]) < nms_iou for i in partners if keep[i])
+        keep[j] = all(footprint_iou(fp[j], fp[i]) < nms_iou for i in partners if keep[i])
+    kept = np.flatnonzero(keep)
     box_ids = [a for m in ordered for a in m.box_agent_ids]
-    return [BoxDetection(*row, agent_id=box_ids[k]) for row, k, kept in zip(rows, ranked.tolist(), keep) if kept]
+    return cand[kept], [box_ids[k] for k in ranked[kept].tolist()]
 
 
-def _ranked_ious(
-    detections: Sequence[tuple[OrientedBox2, float]], ground_truth: Sequence[OrientedBox2]
-) -> list[list[tuple[int, float]]]:
-    """The detection x ground-truth IoUs, one row per detection in ranked order.
+def late_fuse(
+    messages: Sequence[AgentMessage],
+    rel_poses: Mapping[str, Pose2],
+    nms_iou: float = DEFAULT_NMS_IOU,
+) -> list[BoxDetection]:
+    """Warp every agent's boxes into the ego frame and apply confidence NMS.
 
-    Detections are ranked by descending confidence, ties to the lower index.
-    A row lists (ground-truth index, IoU) in ascending index for the pairs
-    whose circumcircles may meet; every pair left out has IoU 0.
+    rel_poses maps each sender's frame into the ego frame. Candidates are
+    ranked by descending confidence with (agent_id, box index) as the tie
+    break, so the output does not depend on message order; a candidate is
+    dropped when it overlaps an already kept box at IoU >= nms_iou. Boxes are
+    lifted as columns, and the IoU is clipped only for the pairs whose
+    circumcircles may meet: every other pair has IoU 0.
     """
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i][1], i))
-    boxes = [detections[i][0] for i in order] + list(ground_truth)
+    rows, agent_ids = _fuse_rows(messages, rel_poses, nms_iou)
+    return [BoxDetection(*row, agent_id=a) for row, a in zip(rows.tolist(), agent_ids)]
+
+
+def _ranked_ious(detections: np.ndarray, confidences, ground_truth: np.ndarray) -> list[list[tuple[int, float]]]:
+    """The detection x ground-truth IoUs of (n, 5) box rows, one row per detection in ranked order.
+
+    Detections rank by descending confidence, ties to the lower index. A row
+    lists (ground-truth index, IoU) in ascending index for the pairs whose
+    circumcircles may meet; every pair left out has IoU 0.
+    """
+    order = np.argsort(-np.asarray(confidences, dtype=float), kind="stable")
+    boxes = np.concatenate((detections[order], ground_truth))
     n = len(order)
-    first, second = overlap_pairs(
-        np.array([b.cx for b in boxes], dtype=float),
-        np.array([b.cy for b in boxes], dtype=float),
-        np.array([b.circumradius() for b in boxes], dtype=float),
-    )
-    rows: list[list[tuple[int, float]]] = [[] for _ in order]
+    first, second = overlap_pairs(boxes[:, 0], boxes[:, 1], 0.5 * np.hypot(boxes[:, 2], boxes[:, 3]))
+    fp = footprints(*boxes.T)
+    rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for r, g in sorted(zip(first.tolist(), second.tolist())):
         if r < n <= g:
-            rows[r].append((g - n, rotated_iou_bev(boxes[r], boxes[g])))
+            rows[r].append((g - n, footprint_iou(fp[r], fp[g])))
     return rows
 
 
@@ -184,7 +185,10 @@ def average_precision(
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold!r}")
-    return _ap_from_ious(_ranked_ious(detections, ground_truth), len(ground_truth), iou_threshold)
+    boxes = [b for b, _ in detections] + list(ground_truth)
+    boxes = np.array([(b.cx, b.cy, b.length, b.width, b.heading) for b in boxes], dtype=float).reshape(-1, 5)
+    rows = _ranked_ious(boxes[: len(detections)], [c for _, c in detections], boxes[len(detections) :])
+    return _ap_from_ious(rows, len(ground_truth), iou_threshold)
 
 
 @dataclass(frozen=True)
@@ -310,22 +314,36 @@ class BenchmarkResult:
         }
 
 
+def _ground_truth_columns(scene: Scene, ego_id: str) -> np.ndarray:
+    """The scene's objects in the ego frame as (n, 5) columns cx, cy, length, width, heading."""
+    obj = _object_columns(scene)
+    x, y, theta = compose_columns([inverse(scene.agent(ego_id).pose)], np.zeros(len(obj), dtype=np.intp), *obj[:, :3].T)
+    return np.stack((x, y, obj[:, 3], obj[:, 4], theta), axis=1)
+
+
 def _ground_truth_in_ego(scene: Scene, ego_id: str) -> list[OrientedBox2]:
-    ego_inv = inverse(scene.agent(ego_id).pose)
-    out = []
-    for obj in scene.objects:
-        p = compose(ego_inv, obj.pose)
-        out.append(OrientedBox2(p.x, p.y, obj.length, obj.width, p.theta))
-    return out
+    return [OrientedBox2(*row) for row in _ground_truth_columns(scene, ego_id).tolist()]
 
 
 def _pair_errors(est: Mapping[str, Pose2], truth: Mapping[str, Pose2]) -> list[tuple[float, float]]:
+    """relative_pose_error of every ordered pair (i, j), i != j, in sorted-id order, bit for bit:
+    the error pose compose(inverse(t), e) runs in the scalar operand order."""
     ids = sorted(truth)
-    out = []
-    for i in ids:
-        rel_est, rel_true = relative_poses(est, i), relative_poses(truth, i)
-        out.extend(relative_pose_error(rel_est[j], rel_true[j]) for j in ids if j != i)
-    return out
+    n = len(ids)
+    poses = [est[a] for a in ids] + [truth[a] for a in ids]
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    cols = np.array([p.as_tuple() for p in poses], dtype=float).reshape(-1, 3)[np.concatenate((j, j + n))]
+    x, y, theta = compose_columns([inverse(p) for p in poses], np.concatenate((i, i + n)), *cols.T)
+    (ex, tx), (ey, ty), (et, tt) = ((v[: len(i)], v[len(i) :]) for v in (x, y, theta))
+    c, s = np.array([(math.cos(v), math.sin(v)) for v in tt.tolist()], dtype=float).reshape(-1, 2).T
+    ix, iy, it = -(c * tx + s * ty), -(-s * tx + c * ty), wrap_angles(-tt)
+    c, s = np.array([(math.cos(v), math.sin(v)) for v in it.tolist()], dtype=float).reshape(-1, 2).T
+    dx, dy, dt = ix + c * ex - s * ey, iy + s * ex + c * ey, wrap_angles(it + et)
+    same = (ex == tx) & (ey == ty) & (et == tt)
+    return [
+        (0.0, 0.0) if eq else (math.hypot(ux, uy), abs(math.degrees(ut)))
+        for eq, ux, uy, ut in zip(same.tolist(), dx.tolist(), dy.tolist(), dt.tolist())
+    ]
 
 
 # The solver-contract counters: each counts the solves of one graph that break
@@ -373,14 +391,13 @@ def _run_scene(config: BenchmarkConfig, level: int, scene_idx: int) -> dict:
         SERIES_AFTER_WEIGHTED: _pair_errors(result_w.agent_poses, truth),
     }
 
-    gt_boxes = _ground_truth_in_ego(scene, ego_id)
-    fused_corrected = late_fuse(messages, relative_poses(result_w.agent_poses, ego_id), config.nms_iou)
-    fused_uncorrected = late_fuse(messages, relative_poses(measured, ego_id), config.nms_iou)
+    gt = _ground_truth_columns(scene, ego_id)
     ap: dict[str, dict[str, float]] = {f"{thr:g}": {} for thr in config.ap_thresholds}
-    for kind, fused in (("corrected", fused_corrected), ("uncorrected", fused_uncorrected)):
-        rows = _ranked_ious([(b.footprint(), b.confidence) for b in fused], gt_boxes)
+    for kind, poses in (("corrected", result_w.agent_poses), ("uncorrected", measured)):
+        fused, _ = _fuse_rows(messages, relative_poses(poses, ego_id), config.nms_iou)
+        rows = _ranked_ious(fused[:, [0, 1, 3, 4, 6]], fused[:, 10], gt)
         for thr in config.ap_thresholds:
-            ap[f"{thr:g}"][kind] = _ap_from_ious(rows, len(gt_boxes), thr)
+            ap[f"{thr:g}"][kind] = _ap_from_ious(rows, len(gt), thr)
     return {
         "ok": True,
         "errors": errors,

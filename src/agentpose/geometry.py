@@ -141,14 +141,7 @@ class OrientedBox2:
 
     def corners(self) -> list[tuple[float, float]]:
         """Corner coordinates in counterclockwise order."""
-        c = math.cos(self.heading)
-        s = math.sin(self.heading)
-        hl = 0.5 * self.length
-        hw = 0.5 * self.width
-        return [
-            (self.cx + c * dx - s * dy, self.cy + s * dx + c * dy)
-            for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-        ]
+        return footprints(*([v] for v in (self.cx, self.cy, self.length, self.width, self.heading)))[0][1]
 
     def circumradius(self) -> float:
         return 0.5 * math.hypot(self.length, self.width)
@@ -196,22 +189,42 @@ def _clip_polygon(subject: list[tuple[float, float]], clip: list[tuple[float, fl
     return output
 
 
-def rotated_iou_bev(a: OrientedBox2, b: OrientedBox2) -> float:
-    """Exact intersection-over-union of two oriented BEV boxes via polygon clipping."""
-    if a == b:
+def footprints(cx, cy, length, width, heading) -> list[tuple]:
+    """Per box, the (key, corners, area, radius) that footprint_iou reads, from five columns.
+
+    key is (cx, cy, length, width, heading), the fields OrientedBox2 compares,
+    headings wrapped as normalize_angle does; the corners run counterclockwise,
+    and the area (shoelace) and circumradius are computed once per box.
+    """
+    out = []
+    for key in zip(*(np.asarray(v, dtype=float).tolist() for v in (cx, cy, length, width, heading))):
+        x, y, length, width, heading = key
+        c, s, hl, hw = math.cos(heading), math.sin(heading), 0.5 * length, 0.5 * width
+        pts = [(x + c * dx - s * dy, y + s * dx + c * dy) for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
+        out.append((key, pts, _polygon_area(pts), 0.5 * math.hypot(length, width)))
+    return out
+
+
+def footprint_iou(a: tuple, b: tuple) -> float:
+    """Exact intersection-over-union of two entries of footprints via polygon clipping."""
+    (ka, pa, area_a, ra), (kb, pb, area_b, rb) = a, b
+    if ka == kb:
         return 1.0
-    if math.hypot(b.cx - a.cx, b.cy - a.cy) > a.circumradius() + b.circumradius():
+    if math.hypot(kb[0] - ka[0], kb[1] - ka[1]) > ra + rb:
         return 0.0
-    pa = a.corners()
-    pb = b.corners()
     inter = _polygon_area(_clip_polygon(pa, pb))
     if inter <= 0.0:
         return 0.0
     # Areas from the same shoelace arithmetic so identical boxes give exactly 1.0.
-    union = _polygon_area(pa) + _polygon_area(pb) - inter
+    union = area_a + area_b - inter
     if union <= 0.0:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
+
+
+def rotated_iou_bev(a: OrientedBox2, b: OrientedBox2) -> float:
+    """Exact intersection-over-union of two oriented BEV boxes via polygon clipping."""
+    return footprint_iou(*footprints(*zip(*((f.cx, f.cy, f.length, f.width, f.heading) for f in (a, b)))))
 
 
 # Sorted points per block of close_pairs: a block's x-band candidates are the

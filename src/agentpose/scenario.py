@@ -135,6 +135,8 @@ class DetectorSpec:
             raise ValueError("base_confidence must be in [0, 1]")
         if self.confidence_decay < 0.0:
             raise ValueError("confidence_decay must be >= 0")
+        for name in ("center_noise_sd", "heading_noise_sd", "base_confidence"):
+            object.__setattr__(self, name, getattr(self, name) + 0.0)  # a -0.0 passes the checks; store 0.0
         if self.noise_scale_choices is not None:
             choices = tuple(float(c) for c in self.noise_scale_choices)
             if not choices or not all(0.0 < c < math.inf for c in choices):

@@ -2,8 +2,8 @@
 problem instances, the independent least-squares solve used to cross-check
 the optimizer, the dense Jacobian and normal equations that the solver's
 blocks are checked against, and the scalar graph build, late fusion, AP
-match, detector and object placement that the columnar ones are checked
-against."""
+match, box IoU, pair errors, detector and object placement that the columnar
+ones are checked against."""
 
 import math
 from dataclasses import replace
@@ -11,9 +11,10 @@ from dataclasses import replace
 import numpy as np
 from scipy.optimize import least_squares
 
-from agentpose.geometry import Pose2, compose, inverse, rotated_iou_bev
+from agentpose.evaluate import relative_pose_error
+from agentpose.geometry import Pose2, _clip_polygon, _polygon_area, compose, inverse
 from agentpose.oracles import graph_residual_oracle
-from agentpose.posegraph import PoseGraph
+from agentpose.posegraph import PoseGraph, relative_poses
 from agentpose.scenario import VARIANCE_FLOOR, ScenarioError, Scene, SceneAgent, SceneObject, derive_seed
 from agentpose.uncertainty import BoxDetection, transform_box
 
@@ -180,6 +181,46 @@ def scalar_build_oracle(messages, ego_id, center_gap=2.0) -> PoseGraph:
     )
 
 
+def scalar_corners(box):
+    """OrientedBox2.corners() of one box, counterclockwise."""
+    c = math.cos(box.heading)
+    s = math.sin(box.heading)
+    hl = 0.5 * box.length
+    hw = 0.5 * box.width
+    return [
+        (box.cx + c * dx - s * dy, box.cy + s * dx + c * dy)
+        for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
+    ]
+
+
+def scalar_rotated_iou_bev(a, b):
+    """rotated_iou_bev of two OrientedBox2, each call computing both boxes'
+    corners, shoelace areas and circumradii itself."""
+    if a == b:
+        return 1.0
+    if math.hypot(b.cx - a.cx, b.cy - a.cy) > a.circumradius() + b.circumradius():
+        return 0.0
+    pa = scalar_corners(a)
+    pb = scalar_corners(b)
+    inter = _polygon_area(_clip_polygon(pa, pb))
+    if inter <= 0.0:
+        return 0.0
+    union = _polygon_area(pa) + _polygon_area(pb) - inter
+    if union <= 0.0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
+def scalar_pair_errors(est, truth):
+    """relative_pose_error of every ordered agent pair, one Pose2 relative pose at a time."""
+    ids = sorted(truth)
+    out = []
+    for i in ids:
+        rel_est, rel_true = relative_poses(est, i), relative_poses(truth, i)
+        out.extend(relative_pose_error(rel_est[j], rel_true[j]) for j in ids if j != i)
+    return out
+
+
 def scalar_late_fuse(messages, rel_poses, nms_iou):
     """late_fuse one box at a time: every box is lifted with transform_box,
     and each candidate, in (-confidence, agent_id, box index) order, is
@@ -193,7 +234,7 @@ def scalar_late_fuse(messages, rel_poses, nms_iou):
     kept, kept_fp = [], []
     for *_, box in candidates:
         fp = box.footprint()
-        if all(rotated_iou_bev(fp, other) < nms_iou for other in kept_fp):
+        if all(scalar_rotated_iou_bev(fp, other) < nms_iou for other in kept_fp):
             kept.append(box)
             kept_fp.append(fp)
     return kept
@@ -215,7 +256,7 @@ def scalar_average_precision(detections, ground_truth, iou_threshold):
         for j, gt in enumerate(ground_truth):
             if matched[j]:
                 continue
-            iou = rotated_iou_bev(detections[i][0], gt)
+            iou = scalar_rotated_iou_bev(detections[i][0], gt)
             if iou > best_iou:
                 best_iou, best_j = iou, j
         flags.append(best_j >= 0 and best_iou >= iou_threshold)

@@ -5,6 +5,7 @@ report structure and determinism."""
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -17,6 +18,7 @@ import agentpose.evaluate
 from agentpose.evaluate import (
     BenchmarkConfig,
     _ground_truth_in_ego,
+    _pair_errors,
     _run_scene,
     average_precision,
     histogram_rows,
@@ -30,7 +32,7 @@ from agentpose.posegraph import AgentMessage, build_pose_graph, optimize, relati
 from agentpose.scenario import DetectorSpec, derive_seed, generate_scene, make_messages
 from agentpose.uncertainty import BoxDetection
 
-from helpers import scalar_average_precision, scalar_late_fuse
+from helpers import scalar_average_precision, scalar_late_fuse, scalar_pair_errors
 
 
 def make_box(cx, cy, theta=0.0, confidence=0.8, agent_id="a", length=4.0, width=2.0):
@@ -61,6 +63,47 @@ class TestRelativePoseError:
     def test_rotation_in_degrees(self):
         _, rot = relative_pose_error(Pose2(0.0, 0.0, math.radians(30.0)), Pose2.identity())
         assert rot == pytest.approx(30.0, abs=1e-9)
+
+
+class TestPairErrorsMatchScalar:
+    """The column pair errors equal the per-pair Pose2 ones bit for bit, sign of zero included."""
+
+    @staticmethod
+    def assert_matches(est, truth):
+        got, want = _pair_errors(est, truth), scalar_pair_errors(est, truth)
+        assert len(got) == len(want) == len(truth) * (len(truth) - 1)
+        assert [struct.pack("<2d", *e) for e in got] == [struct.pack("<2d", *e) for e in want]
+        return got
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0e6])
+    def test_random_rounds(self, offset):
+        rng = np.random.default_rng(120)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            truth = {f"agent{k}": Pose2(*(offset + rng.uniform(-60, 60, 2)), rng.uniform(-math.pi, math.pi)) for k in range(n)}
+            est = {
+                # Some agents keep their true pose, so some pairs take the exact-match exit.
+                a: p if rng.random() < 0.3 else Pose2(p.x + rng.normal(0, 0.5), p.y + rng.normal(0, 0.5), p.theta + rng.normal(0, 0.02))
+                for a, p in truth.items()
+            }
+            self.assert_matches(est, truth)
+
+    def test_identical_estimate_and_truth(self):
+        rng = np.random.default_rng(121)
+        truth = {f"agent{k}": Pose2(*rng.uniform(-60, 60, 2), rng.uniform(-math.pi, math.pi)) for k in range(5)}
+        assert set(self.assert_matches(dict(truth), truth)) == {(0.0, 0.0)}
+
+    def test_relative_headings_that_wrap_at_pi(self):
+        below_pi = math.nextafter(math.pi, 0.0)
+        for t1, e1 in ((math.pi, -below_pi), (math.pi, below_pi), (-below_pi, math.pi), (3.0, -3.0), (0.0, math.pi)):
+            for t0 in (0.0, -below_pi, math.pi, 1.0):
+                truth = {"a0": Pose2(1.0, 2.0, t0), "a1": Pose2(-4.0, 7.0, t1), "a2": Pose2(0.0, 0.0, -t1)}
+                est = {"a0": Pose2(1.0, 2.0, t0), "a1": Pose2(-4.0, 7.0, e1), "a2": Pose2(1e-9, 0.0, -e1)}
+                self.assert_matches(est, truth)
+                self.assert_matches(truth, est)
+
+    def test_one_agent_has_no_pairs(self):
+        assert _pair_errors({"a0": Pose2(1.0, 2.0, 0.3)}, {"a0": Pose2.identity()}) == []
 
 
 def identity_rel(ids):

@@ -1,7 +1,9 @@
 """Geometry tests: pose algebra against a homogeneous-matrix oracle, box IoU
-against a Monte-Carlo area oracle, the pair searches against all-pairs scans."""
+against a Monte-Carlo area oracle and the footprint kernel against the per-call
+scalar IoU bit for bit, the pair searches against all-pairs scans."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,10 +12,13 @@ from agentpose.geometry import (
     TWO_PI,
     OrientedBox2,
     Pose2,
+    _polygon_area,
     close_pairs,
     compose,
     compose_columns,
     consistency_error,
+    footprint_iou,
+    footprints,
     inverse,
     normalize_angle,
     overlap_pairs,
@@ -21,6 +26,8 @@ from agentpose.geometry import (
     wrap_angles,
 )
 from agentpose.oracles import compose_oracle, consistency_oracle, inverse_oracle, mc_iou
+
+from helpers import scalar_corners, scalar_rotated_iou_bev
 
 
 def random_pose(rng, span=50.0) -> Pose2:
@@ -269,6 +276,90 @@ class TestRotatedIouBev:
             OrientedBox2(0.0, 0.0, 0.0, 2.0, 0.0)
         with pytest.raises(ValueError):
             OrientedBox2(0.0, 0.0, 2.0, -1.0, 0.0)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def near_tangent(a: OrientedBox2, b: OrientedBox2, ulps: int) -> OrientedBox2:
+    """b moved along x so that its centre distance to a is the circumradius sum, then ulps steps on."""
+    cx = a.cx + (a.circumradius() + b.circumradius())
+    for _ in range(abs(ulps)):
+        cx = math.nextafter(cx, math.copysign(math.inf, ulps))
+    return OrientedBox2(cx, a.cy, b.length, b.width, b.heading)
+
+
+def hard_box_pairs():
+    """Box pairs on the kernel's exits and edges: identical boxes, equal centres,
+    shared edges, containment, circumcircles tangent within an ulp, headings at
+    +-pi, micrometre boxes and 1e6 m offsets."""
+    pairs = []
+    for heading in (0.0, 0.3, math.pi / 2, math.pi, -math.pi + 1e-15, math.nextafter(-math.pi, 0.0), 2.0):
+        box = OrientedBox2(1.5, -0.5, 4.0, 2.0, heading)
+        pairs.append((box, OrientedBox2(1.5, -0.5, 4.0, 2.0, heading)))
+        pairs.append((box, OrientedBox2(1.5, -0.5, 4.0, 2.0, heading + 0.7)))
+        pairs.append((box, OrientedBox2(1.5, -0.5, 4.0, 2.0, -heading)))
+        pairs.append((box, OrientedBox2(1.5, -0.5, 2.0, 4.0, heading + math.pi / 2)))
+        pairs.append((box, OrientedBox2(1.5, -0.5, 1.0, 0.5, heading + 0.2)))
+        pairs.append((OrientedBox2(1.5, -0.5, 1.0, 0.5, heading), box))
+        for ulps in range(-3, 4):
+            pairs.append((box, near_tangent(box, OrientedBox2(0.0, 0.0, 3.0, 4.0, heading - 1.0), ulps)))
+    for offset in (0.0, 1.0e6, -1.0e6):
+        a = OrientedBox2(offset, offset, 2.0, 2.0, 0.0)
+        pairs.append((a, OrientedBox2(offset + 2.0, offset, 2.0, 2.0, 0.0)))
+        pairs.append((a, OrientedBox2(offset, offset + 2.0, 2.0, 2.0, math.pi)))
+        pairs.append((a, OrientedBox2(offset + 2.0, offset + 2.0, 2.0, 2.0, 0.0)))
+        pairs.append((a, OrientedBox2(offset + 1.0, offset + 0.25, 4.0, 1.0, math.pi / 2)))
+    for size in (1e-6, 3e-6):
+        tiny = OrientedBox2(0.25, 0.25, size, size / 2, 0.4)
+        pairs.append((tiny, OrientedBox2(0.25 + size / 4, 0.25, size, size / 2, -0.4)))
+        pairs.append((tiny, OrientedBox2(0.25, 0.25, 4.0, 2.0, 0.0)))
+        pairs.append((tiny, tiny))
+    return pairs + [(b, a) for a, b in pairs]
+
+
+def columns(boxes):
+    return [[getattr(b, f) for b in boxes] for f in ("cx", "cy", "length", "width", "heading")]
+
+
+class TestFootprintKernel:
+    """footprint_iou on footprints equals the scalar per-call IoU bit for bit, sign of zero included."""
+
+    def assert_kernel_matches(self, pairs):
+        fp = footprints(*columns([box for pair in pairs for box in pair]))
+        for k, (a, b) in enumerate(pairs):
+            want = bits(scalar_rotated_iou_bev(a, b))
+            assert bits(footprint_iou(fp[2 * k], fp[2 * k + 1])) == want, (a, b)
+            assert bits(rotated_iou_bev(a, b)) == want, (a, b)
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0e6])
+    def test_random_pairs(self, offset):
+        rng = np.random.default_rng(60)
+        pairs = []
+        for _ in range(3000):
+            a, b = random_box(rng), random_box(rng)
+            pairs.append(tuple(OrientedBox2(x.cx + offset, x.cy - offset, x.length, x.width, x.heading) for x in (a, b)))
+        self.assert_kernel_matches(pairs)
+
+    def test_hard_pairs(self):
+        pairs = hard_box_pairs()
+        self.assert_kernel_matches(pairs)
+        outcomes = [scalar_rotated_iou_bev(a, b) for a, b in pairs]
+        assert 1.0 in outcomes and 0.0 in outcomes and any(0.0 < v < 1.0 for v in outcomes)
+
+    def test_entries_are_the_box_values(self):
+        rng = np.random.default_rng(61)
+        boxes = [random_box(rng, 1e3) for _ in range(50)]
+        for box, (key, corners, area, radius) in zip(boxes, footprints(*columns(boxes))):
+            assert key == (box.cx, box.cy, box.length, box.width, box.heading)
+            assert corners == scalar_corners(box) == box.corners()
+            assert bits(area) == bits(_polygon_area(scalar_corners(box)))
+            assert bits(radius) == bits(box.circumradius())
+            assert area == pytest.approx(box.length * box.width, rel=1e-9)
+
+    def test_no_boxes(self):
+        assert footprints(*[np.zeros(0)] * 5) == []
 
 
 def pair_list(i, j):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from agentpose.cli import main
-from agentpose.evaluate import BenchmarkConfig, run_benchmark
-from agentpose.geometry import Pose2, compose, inverse, normalize_angle
+from agentpose.evaluate import BenchmarkConfig, _run_scene, run_benchmark
+from agentpose.geometry import OrientedBox2, Pose2, compose, inverse, normalize_angle
 from agentpose.oracles import closure_clusters, graph_residual_oracle
 from agentpose.posegraph import (
     AgentMessage,
@@ -751,6 +751,21 @@ class TestNormalEquations:
         scene_path, solve_path = str(tmp_path / "scene.json"), str(tmp_path / "solve.json")
         assert main(["generate", "--seed", "3", "--out", scene_path]) == 0
         assert main(["solve", "--scene", scene_path, "--seed", "3", "--out", solve_path]) == 0
+
+    def test_scene_scoring_builds_no_box_objects(self, monkeypatch):
+        # A benchmark scene fuses and scores on box columns: no OrientedBox2 per
+        # box or pair and no BoxDetection per kept box.
+        built = []
+        for cls in (OrientedBox2, BoxDetection):
+            post_init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, post_init=post_init: built.append(self) or post_init(self))
+        config = BenchmarkConfig(seed=5, scenes=3, noise_grid=((0.6, 0.6),), ap_thresholds=(0.3, 0.5, 0.7))
+        records = [_run_scene(config, 0, idx) for idx in range(config.scenes)]
+        assert all(rec["ok"] for rec in records) and any(rec["ap"]["0.5"]["corrected"] > 0.0 for rec in records)
+        assert built == []
+        OrientedBox2(0.0, 0.0, 4.0, 2.0, 0.0)
+        BoxDetection(0.0, 0.0, 0.0, 4.0, 2.0, 1.6, 0.0, 0.04, 0.04, 0.01, 0.5)
+        assert [type(b) for b in built] == [OrientedBox2, BoxDetection]
 
 
 class TestDampingLoop:

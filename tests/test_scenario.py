@@ -426,12 +426,17 @@ class TestMessagesMatchScalar:
             expected = [compose(inverse(agent.pose), o.pose).theta for o in scene.objects]
             assert set(msg.block[:, 6].tolist()) <= set(expected)
 
-    def test_signed_zero_confidence_kept(self):
-        # max(-0.0, 0.0) is -0.0 in the scalar clamp; the column clamp keeps it.
+    def test_signed_zero_detector_values_send_no_negative_zero(self):
+        # DetectorSpec stores -0.0 sds and base_confidence as 0.0, so neither the
+        # scalar clamp max(-0.0, 0.0) nor the column one ever sees a -0.0.
         scene = generate_scene(3, 20, area=(150.0, 150.0), seed=6)
-        det = DetectorSpec(base_confidence=-0.0, confidence_decay=0.0)
+        det = DetectorSpec(center_noise_sd=-0.0, heading_noise_sd=-0.0, base_confidence=-0.0, confidence_decay=0.0)
+        assert all(math.copysign(1.0, getattr(det, f)) == 1.0 for f in ("center_noise_sd", "heading_noise_sd", "base_confidence"))
         messages = self.assert_round_matches(scene, NoiseSpec(), det, 6)
-        assert all(math.copysign(1.0, c) == -1.0 for m in messages for c in m.block[:, 10].tolist())
+        assert sum(len(m.block) for m in messages) > 0
+        numbers = []
+        json.loads(json.dumps(messages_to_dict(messages)), parse_float=lambda text: numbers.append(text) or float(text))
+        assert "0.0" in numbers and not [t for t in numbers if float(t) == 0.0 and t.startswith("-")]
 
     def test_detect_is_the_view_of_the_block(self):
         scene = generate_scene(3, 20, area=(150.0, 150.0), seed=4)
