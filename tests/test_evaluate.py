@@ -80,10 +80,10 @@ class TestPairErrorsMatchScalar:
         rng = np.random.default_rng(120)
         for _ in range(300):
             n = int(rng.integers(1, 7))
-            truth = {f"agent{k}": Pose2(*(offset + rng.uniform(-60, 60, 2)), rng.uniform(-math.pi, math.pi)) for k in range(n)}
+            truth = {f"agent{k}": Pose2(*(offset + rng.uniform(-60, 60, 2)), rng.uniform(-3.2, 3.2)) for k in range(n)}
+            # Some agents keep their true pose, so some pairs take the exact-match exit.
             est = {
-                # Some agents keep their true pose, so some pairs take the exact-match exit.
-                a: p if rng.random() < 0.3 else Pose2(p.x + rng.normal(0, 0.5), p.y + rng.normal(0, 0.5), p.theta + rng.normal(0, 0.02))
+                a: p if rng.random() < 0.3 else Pose2(*(np.array(p.as_tuple()) + rng.normal(0, (0.5, 0.5, 0.02))))
                 for a, p in truth.items()
             }
             self.assert_matches(est, truth)

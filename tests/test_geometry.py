@@ -336,11 +336,11 @@ class TestFootprintKernel:
     @pytest.mark.parametrize("offset", [0.0, 1.0e6])
     def test_random_pairs(self, offset):
         rng = np.random.default_rng(60)
-        pairs = []
-        for _ in range(3000):
-            a, b = random_box(rng), random_box(rng)
-            pairs.append(tuple(OrientedBox2(x.cx + offset, x.cy - offset, x.length, x.width, x.heading) for x in (a, b)))
-        self.assert_kernel_matches(pairs)
+
+        def shifted(x):
+            return OrientedBox2(x.cx + offset, x.cy - offset, x.length, x.width, x.heading)
+
+        self.assert_kernel_matches([(shifted(random_box(rng)), shifted(random_box(rng))) for _ in range(3000)])
 
     def test_hard_pairs(self):
         pairs = hard_box_pairs()

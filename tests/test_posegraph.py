@@ -757,8 +757,11 @@ class TestNormalEquations:
         # box or pair and no BoxDetection per kept box.
         built = []
         for cls in (OrientedBox2, BoxDetection):
-            post_init = cls.__post_init__
-            monkeypatch.setattr(cls, "__post_init__", lambda self, post_init=post_init: built.append(self) or post_init(self))
+            def counting(self, post_init=cls.__post_init__):
+                built.append(self)
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
         config = BenchmarkConfig(seed=5, scenes=3, noise_grid=((0.6, 0.6),), ap_thresholds=(0.3, 0.5, 0.7))
         records = [_run_scene(config, 0, idx) for idx in range(config.scenes)]
         assert all(rec["ok"] for rec in records) and any(rec["ap"]["0.5"]["corrected"] > 0.0 for rec in records)

@@ -431,7 +431,8 @@ class TestMessagesMatchScalar:
         # scalar clamp max(-0.0, 0.0) nor the column one ever sees a -0.0.
         scene = generate_scene(3, 20, area=(150.0, 150.0), seed=6)
         det = DetectorSpec(center_noise_sd=-0.0, heading_noise_sd=-0.0, base_confidence=-0.0, confidence_decay=0.0)
-        assert all(math.copysign(1.0, getattr(det, f)) == 1.0 for f in ("center_noise_sd", "heading_noise_sd", "base_confidence"))
+        for name in ("center_noise_sd", "heading_noise_sd", "base_confidence"):
+            assert math.copysign(1.0, getattr(det, name)) == 1.0
         messages = self.assert_round_matches(scene, NoiseSpec(), det, 6)
         assert sum(len(m.block) for m in messages) > 0
         numbers = []
