@@ -32,6 +32,8 @@ from .posegraph import (
     with_uniform_info,
 )
 from .scenario import (
+    DEFAULT_EXTENT,
+    DEFAULT_MIN_OBJECT_GAP,
     DetectorSpec,
     NoiseSpec,
     ScenarioError,
@@ -69,7 +71,7 @@ def relative_pose_error(estimated: Pose2, truth: Pose2) -> tuple[float, float]:
 
 
 def _fuse_rows(messages, rel_poses, nms_iou: float) -> tuple[np.ndarray, list[str]]:
-    """The rows late_fuse keeps, in the ego frame and in rank order, and their agent ids."""
+    """The rows late_fuse keeps, in the ego frame and in rank order, and their senders' agent ids."""
     if not 0.0 < nms_iou <= 1.0:
         raise ValueError(f"nms_iou must be in (0, 1], got {nms_iou!r}")
     ids = [m.agent_id for m in messages]
@@ -98,8 +100,7 @@ def _fuse_rows(messages, rel_poses, nms_iou: float) -> tuple[np.ndarray, list[st
     for j, partners in enumerate(above):
         keep[j] = all(footprint_iou(fp[j], fp[i]) < nms_iou for i in partners if keep[i])
     kept = np.flatnonzero(keep)
-    box_ids = [a for m in ordered for a in m.box_agent_ids]
-    return cand[kept], [box_ids[k] for k in ranked[kept].tolist()]
+    return cand[kept], [ordered[k].agent_id for k in owner[ranked[kept]].tolist()]
 
 
 def late_fuse(
@@ -200,8 +201,8 @@ class BenchmarkConfig:
     num_agents: int = 4
     num_objects: int = 10
     area: tuple[float, float] = (120.0, 120.0)
-    extent: tuple[float, float] = (140.0, 140.0)
-    min_object_gap: float = 5.0
+    extent: tuple[float, float] = DEFAULT_EXTENT
+    min_object_gap: float = DEFAULT_MIN_OBJECT_GAP
     noise_kind: str = "gaussian"
     noise_grid: tuple[tuple[float, float], ...] = ((0.0, 0.0), (0.2, 0.2), (0.4, 0.4), (0.6, 0.6))
     detector: DetectorSpec = field(default_factory=DetectorSpec)
@@ -319,10 +320,6 @@ def _ground_truth_columns(scene: Scene, ego_id: str) -> np.ndarray:
     obj = _object_columns(scene)
     x, y, theta = compose_columns([inverse(scene.agent(ego_id).pose)], np.zeros(len(obj), dtype=np.intp), *obj[:, :3].T)
     return np.stack((x, y, obj[:, 3], obj[:, 4], theta), axis=1)
-
-
-def _ground_truth_in_ego(scene: Scene, ego_id: str) -> list[OrientedBox2]:
-    return [OrientedBox2(*row) for row in _ground_truth_columns(scene, ego_id).tolist()]
 
 
 def _pair_errors(est: Mapping[str, Pose2], truth: Mapping[str, Pose2]) -> list[tuple[float, float]]:

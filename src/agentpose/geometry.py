@@ -106,16 +106,6 @@ def inverse(p: Pose2) -> Pose2:
     return Pose2(-(c * p.x + s * p.y), -(-s * p.x + c * p.y), -p.theta)
 
 
-def consistency_error(z: Pose2, xi: Pose2, chi: Pose2) -> np.ndarray:
-    """Pose consistency error of measurement z between agent pose xi and object pose chi.
-
-    Returns the (x, y, theta) coordinates of inverse(z) . (inverse(xi) . chi);
-    zero exactly when chi = xi . z.
-    """
-    e = compose(inverse(z), compose(inverse(xi), chi))
-    return np.array([e.x, e.y, e.theta])
-
-
 @dataclass(frozen=True)
 class OrientedBox2:
     """Rectangular BEV footprint: center, side lengths, heading (length runs along heading)."""
@@ -138,13 +128,6 @@ class OrientedBox2:
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "heading", normalize_angle(self.heading))
-
-    def corners(self) -> list[tuple[float, float]]:
-        """Corner coordinates in counterclockwise order."""
-        return footprints(*([v] for v in (self.cx, self.cy, self.length, self.width, self.heading)))[0][1]
-
-    def circumradius(self) -> float:
-        return 0.5 * math.hypot(self.length, self.width)
 
 
 def _polygon_area(poly: list[tuple[float, float]]) -> float:

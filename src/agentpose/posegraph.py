@@ -32,32 +32,24 @@ _IDENTITY = Pose2.identity()
 class AgentMessage:
     """One agent's collaboration payload: measured global pose plus local-frame boxes.
 
-    The boxes are one read-only (k, 11) block, a row per box in the field
-    order of BoxDetection: cx, cy, cz, length, width, height, theta, var_x,
-    var_y, var_theta, confidence. block also accepts a sequence of
-    BoxDetection. box_agent_ids holds each box's agent_id and defaults to the
-    message's. The block is validated once, with BoxDetection's errors, and
-    its headings are wrapped as normalize_angle does. Equality compares the
-    block bit for bit.
+    The boxes are one read-only (k, 11) float array, a row per box in the
+    field order of BoxDetection: cx, cy, cz, length, width, height, theta,
+    var_x, var_y, var_theta, confidence. The block is validated once, with
+    BoxDetection's errors, and its headings are wrapped as normalize_angle
+    does. Equality compares the block bit for bit.
     """
 
     agent_id: str
     measured_pose: Pose2
     block: np.ndarray
-    box_agent_ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        block, ids = self.block, self.box_agent_ids
+        block = self.block
         if not isinstance(block, np.ndarray):
-            boxes = tuple(block)
-            block = np.array([b.as_vector() + [b.confidence] for b in boxes], dtype=float).reshape(-1, BOX_WIDTH)
-            ids = tuple(b.agent_id for b in boxes) if ids is None else ids
+            raise ValueError(f"block must be a (k, {BOX_WIDTH}) float array, got {type(block).__name__}")
         if block.ndim != 2 or block.shape[1] != BOX_WIDTH or not np.can_cast(block.dtype, float, "same_kind"):
             raise ValueError(f"block must be (k, {BOX_WIDTH}) float, got {block.dtype} {block.shape}")
         block = np.array(block, dtype=float)
-        ids = (self.agent_id,) * len(block) if ids is None else tuple(ids)
-        if len(ids) != len(block):
-            raise ValueError(f"box_agent_ids must name each of the {len(block)} boxes, got {len(ids)}")
         bad = ~(
             np.isfinite(block).all(axis=1)
             & (block[:, 3:6] > 0.0).all(axis=1)
@@ -70,18 +62,17 @@ class AgentMessage:
         block[:, 6] = wrap_angles(block[:, 6])
         block.flags.writeable = False
         object.__setattr__(self, "block", block)
-        object.__setattr__(self, "box_agent_ids", ids)
 
     def _key(self) -> tuple:
-        return (self.agent_id, self.measured_pose, self.block.tobytes(), self.box_agent_ids)
+        return (self.agent_id, self.measured_pose, self.block.tobytes())
 
     def __eq__(self, other: object) -> bool:
         return self._key() == other._key() if isinstance(other, AgentMessage) else NotImplemented
 
     @cached_property
     def boxes(self) -> tuple[BoxDetection, ...]:
-        """The boxes as BoxDetection views, built from the block on first read."""
-        return tuple(BoxDetection(*row, agent_id=a) for row, a in zip(self.block.tolist(), self.box_agent_ids))
+        """The boxes as BoxDetection views of the sender, built from the block on first read."""
+        return tuple(BoxDetection(*row, agent_id=self.agent_id) for row in self.block.tolist())
 
 
 def box_columns(messages: Sequence[AgentMessage]) -> tuple[np.ndarray, np.ndarray]:
@@ -244,13 +235,19 @@ def _components(xs: np.ndarray, ys: np.ndarray, gap2: float) -> np.ndarray:
 def _cluster_labels(
     xs: np.ndarray, ys: np.ndarray, agent: np.ndarray, confidence: np.ndarray, center_gap: float
 ) -> np.ndarray:
-    """Cluster number of every box, clusters numbered by smallest member (see cluster_boxes).
+    """Cluster number of every box, xs and ys its global centre; clusters number by smallest member.
 
-    Same-agent duplicates are found for all components in one lexsort by
-    component, agent, descending confidence and index: the first box of each
-    (component, agent) run is kept and the rest become singletons. Linked
-    points lie in one component, so the boxes kept in all the components that
-    lost a box are split again by one more _components call.
+    Clusters start as connected components of the graph linking boxes whose
+    BEV center distance is below center_gap. A component never keeps two boxes
+    of the same agent: only the highest-confidence one stays (ties to the
+    lowest index), the rest are split off as singleton clusters. Dropping a
+    box can disconnect the boxes kept, so a component that lost one is split
+    again into the connected components of its kept boxes. Every cluster is
+    therefore connected under center_gap and holds at most one box per agent.
+
+    The duplicates of all components are found by one lexsort on component,
+    agent, descending confidence and index, and the boxes kept in all the
+    components that lost one are split again by one more _components call.
     """
     if center_gap <= 0.0:
         raise ValueError(f"center_gap must be positive, got {center_gap!r}")
@@ -269,35 +266,6 @@ def _cluster_labels(
         sub = np.flatnonzero(kept)
         root[sub] = sub[_components(xs[sub], ys[sub], gap2)]
     return np.unique(root, return_inverse=True)[1]
-
-
-def cluster_boxes(
-    global_boxes: Sequence[tuple[str, BoxDetection]],
-    center_gap: float = DEFAULT_CLUSTER_GAP,
-) -> list[list[int]]:
-    """Group boxes (given in a common global frame) into object clusters.
-
-    Clusters start as connected components of the graph linking boxes whose
-    BEV center distance is below center_gap. A component never keeps two boxes
-    of the same agent: only the highest-confidence one stays (ties to the
-    lowest index), the rest are split off as singleton clusters. Dropping a
-    box can disconnect the boxes kept, so a component that lost one is split
-    again into the connected components of its kept boxes. Every cluster is
-    therefore connected under center_gap and holds at most one box per agent.
-    Clusters are ordered by smallest member index, members ascending.
-    """
-    codes: dict[str, int] = {}
-    labels = _cluster_labels(
-        np.array([b.cx for _, b in global_boxes], dtype=float),
-        np.array([b.cy for _, b in global_boxes], dtype=float),
-        np.array([codes.setdefault(a, len(codes)) for a, _ in global_boxes], dtype=np.intp),
-        np.array([b.confidence for _, b in global_boxes], dtype=float),
-        center_gap,
-    )
-    if not labels.size:
-        return []
-    order = np.argsort(labels, kind="stable")
-    return [part.tolist() for part in np.split(order, np.cumsum(np.bincount(labels))[:-1])]
 
 
 def _seed_poses(
@@ -324,21 +292,6 @@ def _seed_poses(
     return [Pose2(sx / swx, sy / swy, math.atan2(ss, sc)) for sx, swx, sy, swy, ss, sc in zip(*sums)]
 
 
-def init_object_pose(members: Sequence[tuple[BoxDetection, Pose2]]) -> Pose2:
-    """Initial object pose from cluster members as (box, owner measured pose) pairs.
-
-    The center is the per-axis inverse-variance weighted mean of the global
-    box centers; the heading is the circular mean of global headings weighted
-    by inverse heading variance.
-    """
-    if not members:
-        raise ValueError("cluster must be non-empty")
-    cols = np.array([(b.cx, b.cy, b.theta, b.var_x, b.var_y, b.var_theta) for b, _ in members])
-    n = len(members)
-    gx, gy, gt = compose_columns([p for _, p in members], np.arange(n), cols[:, 0], cols[:, 1], cols[:, 2])
-    return _seed_poses(gx, gy, gt, 1.0 / cols[:, 3:], np.zeros(n, dtype=np.intp), 1)[0]
-
-
 def build_pose_graph(
     messages: Sequence[AgentMessage],
     ego_id: str,
@@ -351,9 +304,8 @@ def build_pose_graph(
     node (single-view clusters constrain nothing pairwise and are pruned).
     Node and edge order depend only on agent ids and box order, so permuting
     the input messages yields an identical graph. The boxes go through the
-    lift, the clustering and the object seeds as columns; the result is the
-    one that lifting each box with transform_box, cluster_boxes and
-    init_object_pose per cluster would give.
+    lift, the clustering and the object seeds as columns, bit-identical to
+    the one-box-at-a-time build that tests/helpers.py keeps as a reference.
     """
     ids = [m.agent_id for m in messages]
     if len(set(ids)) != len(ids):

@@ -17,11 +17,14 @@ import numpy as np
 
 from .geometry import Pose2, compose_columns, inverse
 from .posegraph import BOX_WIDTH, AgentMessage
-from .uncertainty import BoxDetection
 
 # Reported variances are floored so zero-noise runs still produce valid
 # (positive definite) information weights.
 VARIANCE_FLOOR = 1e-6
+# Scene defaults: each agent's (forward, lateral) visibility half-extent, and
+# the smallest centre distance between two objects.
+DEFAULT_EXTENT = (140.0, 140.0)
+DEFAULT_MIN_OBJECT_GAP = 5.0
 
 _GAUSSIAN = "gaussian"
 _LAPLACE = "laplace"
@@ -61,7 +64,7 @@ class Scene:
 
     agents: tuple[SceneAgent, ...]
     objects: tuple[SceneObject, ...]
-    extent: tuple[float, float] = (140.0, 140.0)
+    extent: tuple[float, float] = DEFAULT_EXTENT
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "agents", tuple(self.agents))
@@ -149,8 +152,8 @@ def generate_scene(
     num_objects: int,
     area: tuple[float, float] = (100.0, 100.0),
     seed: int = 0,
-    extent: tuple[float, float] = (140.0, 140.0),
-    min_object_gap: float = 5.0,
+    extent: tuple[float, float] = DEFAULT_EXTENT,
+    min_object_gap: float = DEFAULT_MIN_OBJECT_GAP,
 ) -> Scene:
     """Deterministically place agents and non-overlapping objects in a rectangle.
 
@@ -242,16 +245,18 @@ def _object_columns(scene: Scene) -> np.ndarray:
 def _detect_block(
     objects: np.ndarray, agent_pose: Pose2, extent: tuple[float, float], spec: DetectorSpec, rng: np.random.Generator
 ) -> np.ndarray:
-    """The boxes of detect as a message block (see AgentMessage), from _object_columns.
+    """The agent's noisy boxes of the visible objects (_object_columns rows) as an AgentMessage block.
 
-    Every object's local pose and the extent test come from one
-    compose_columns step, bit-identical to compose, and each candidate's range
-    from the scalar math.hypot. One loop over the candidates, in object order,
-    then makes the draws and nothing else: the miss draw, the optional scale
-    choice and three standard normals. Every column is computed after it, in
-    the per-box operand order: a noise term rng.normal(0.0, sd) is
-    0.0 + sd * z bit for bit (pinned in tests/test_scenario.py), and the
-    confidence clamp keeps a -0.0, as the scalar max(c, 0.0) does.
+    Boxes are in the agent's true frame, and visibility uses its true pose:
+    pose error enters only through the measured pose. Every object's local
+    pose and the extent test come from one compose_columns step,
+    bit-identical to compose, and each candidate's range from the scalar
+    math.hypot. One loop over the candidates, in object order, then makes the
+    draws and nothing else: the miss draw, the optional scale choice and
+    three standard normals. Every column is computed after it, in the per-box
+    operand order: a noise term rng.normal(0.0, sd) is 0.0 + sd * z bit for
+    bit (pinned in tests/test_scenario.py), and the confidence clamp keeps a
+    -0.0, as the scalar max(c, 0.0) does.
     """
     lx, ly, lt = compose_columns(
         [inverse(agent_pose)], np.zeros(len(objects), dtype=np.intp), objects[:, 0], objects[:, 1], objects[:, 2]
@@ -292,23 +297,6 @@ def _detect_block(
     confidence[confidence < 0.0] = 0.0
     block[:, 10] = np.minimum(confidence, 1.0)
     return block
-
-
-def detect(
-    scene: Scene,
-    agent_id: str,
-    spec: DetectorSpec,
-    rng: np.random.Generator,
-) -> list[BoxDetection]:
-    """Noisy boxes for every visible object, in the agent's true local frame.
-
-    Visibility uses the true agent pose (detection happens on the agent's own
-    observations; pose error only enters through the shared measured pose).
-    The boxes are the view of the block that make_messages sends.
-    """
-    agent = scene.agent(agent_id)
-    block = _detect_block(_object_columns(scene), agent.pose, scene.extent, spec, rng)
-    return list(AgentMessage(agent_id, agent.pose, block).boxes)
 
 
 def make_messages(
@@ -389,7 +377,7 @@ def scene_from_dict(data: dict) -> Scene:
 
 
 def _box_row(vec, confidence: float) -> list[float]:
-    """One block row from a wire box, with box_from_vector's checks."""
+    """One block row from a wire box vector and its confidence."""
     if len(vec) != 10:
         raise ValueError(f"box vector must have 10 fields, got {len(vec)}")
     return [float(v) for v in vec] + [confidence]

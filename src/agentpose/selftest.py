@@ -12,11 +12,11 @@ import math
 import numpy as np
 
 from .evaluate import _solver_contract, average_precision, relative_pose_error
-from .geometry import OrientedBox2, Pose2, compose, consistency_error, inverse, normalize_angle, rotated_iou_bev
-from .oracles import ap_bruteforce, closure_clusters, compose_oracle, inverse_oracle, mc_iou
-from .posegraph import build_pose_graph, cluster_boxes, optimize
+from .geometry import OrientedBox2, Pose2, compose, inverse, normalize_angle, rotated_iou_bev
+from .oracles import ap_bruteforce, closure_clusters, compose_oracle, consistency_oracle, inverse_oracle, mc_iou
+from .posegraph import PoseGraph, _cluster_labels, _Problem, build_pose_graph, optimize
 from .scenario import DetectorSpec, NoiseSpec, generate_scene, make_messages
-from .uncertainty import BoxDetection, gaussian_center_loss, von_mises_angle_loss
+from .uncertainty import gaussian_center_loss, von_mises_angle_loss
 
 
 def _random_pose(rng, span: float) -> Pose2:
@@ -41,13 +41,17 @@ def _check_pose_algebra(rng) -> tuple[str, bool, str]:
 
 
 def _check_consistency(rng) -> tuple[str, bool, str]:
-    worst = 0.0
-    for _ in range(200):
-        xi = _random_pose(rng, 20)
-        z = _random_pose(rng, 20)
-        chi = Pose2(*compose_oracle(xi.as_tuple(), z.as_tuple()))
-        worst = max(worst, float(np.max(np.abs(consistency_error(z, xi, chi)))))
-    return ("consistency error zero on consistent triples", worst < 1e-10, f"max err {worst:.2e}")
+    # Agent k sees objects k and k + 1 mod n, the two edges an object needs.
+    n = 100
+    k = np.arange(n)
+    edges = np.stack((np.tile(k, 2), np.concatenate((k, (k + 1) % n))), axis=1)
+    z, poses = (np.array([_random_pose(rng, 20).as_tuple() for _ in range(2 * n)]) for _ in range(2))
+    nodes = (Pose2.identity(),) * n
+    e, _ = _Problem(PoseGraph(tuple(map(str, k)), nodes, 0, nodes, edges, z, np.ones((2 * n, 3)))).evaluate(poses)
+    worst = max(
+        _pose_gap(Pose2(*e[i]), consistency_oracle(z[i], poses[a], poses[n + o])) for i, (a, o) in enumerate(edges)
+    )
+    return ("solver residual vs matrix consistency error", worst < 1e-10, f"max err {worst:.2e}")
 
 
 def _check_iou(rng) -> tuple[str, bool, str]:
@@ -117,18 +121,13 @@ def _check_clustering(rng) -> tuple[str, bool, str]:
     for case in range(100):
         n = int(rng.integers(0, 11))
         centers = [(float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8))) for _ in range(n)]
-        boxes = [
-            (
-                f"a{i}",
-                BoxDetection(
-                    cx=cx, cy=cy, cz=0.0, length=4.0, width=2.0, height=1.5, theta=0.0,
-                    var_x=0.1, var_y=0.1, var_theta=0.1, confidence=0.5, agent_id=f"a{i}",
-                ),
-            )
-            for i, (cx, cy) in enumerate(centers)
-        ]
-        got = sorted(tuple(c) for c in cluster_boxes(boxes, center_gap=2.0))
-        if got != closure_clusters(centers, 2.0):
+        xs, ys = np.array(centers, dtype=float).reshape(-1, 2).T
+        # One agent per box, so no box is split off; both number clusters by smallest member.
+        got = _cluster_labels(xs, ys, np.arange(n), np.full(n, 0.5), 2.0)
+        want = np.zeros(n, dtype=np.intp)
+        for label, members in enumerate(closure_clusters(centers, 2.0)):
+            want[list(members)] = label
+        if got.tolist() != want.tolist():
             return (name, False, f"case {case} mismatch")
     return (name, True, "100 cases exact")
 

@@ -159,26 +159,6 @@ class BoxDetection:
     def footprint(self) -> OrientedBox2:
         return OrientedBox2(self.cx, self.cy, self.length, self.width, self.theta)
 
-    def as_vector(self) -> list[float]:
-        """The 10-field wire encoding: center, dimensions, heading, variances."""
-        return [
-            self.cx, self.cy, self.cz,
-            self.length, self.width, self.height,
-            self.theta,
-            self.var_x, self.var_y, self.var_theta,
-        ]
-
-
-def box_from_vector(vec, confidence: float, agent_id: str = "") -> BoxDetection:
-    if len(vec) != 10:
-        raise ValueError(f"box vector must have 10 fields, got {len(vec)}")
-    cx, cy, cz, length, width, height, theta, var_x, var_y, var_theta = (float(v) for v in vec)
-    return BoxDetection(
-        cx=cx, cy=cy, cz=cz, length=length, width=width, height=height,
-        theta=theta, var_x=var_x, var_y=var_y, var_theta=var_theta,
-        confidence=confidence, agent_id=agent_id,
-    )
-
 
 def transform_box(box: BoxDetection, frame: Pose2) -> BoxDetection:
     """Re-express a box in the frame that `frame` maps the box's frame into."""

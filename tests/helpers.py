@@ -1,9 +1,9 @@
 """Shared test scaffolding: graphs built from per-edge tuples, randomized
 problem instances, the independent least-squares solve used to cross-check
 the optimizer, the dense Jacobian and normal equations that the solver's
-blocks are checked against, and the scalar graph build, late fusion, AP
-match, box IoU, pair errors, detector and object placement that the columnar
-ones are checked against."""
+blocks are checked against, the scalar graph build, late fusion, AP match,
+box IoU, pair errors, detector and object placement that the columnar ones
+are checked against, and the message block builder of the tests."""
 
 import math
 from dataclasses import replace
@@ -12,11 +12,16 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from agentpose.evaluate import relative_pose_error
-from agentpose.geometry import Pose2, _clip_polygon, _polygon_area, compose, inverse
+from agentpose.geometry import Pose2, _clip_polygon, _polygon_area, compose, inverse, normalize_angle
 from agentpose.oracles import graph_residual_oracle
-from agentpose.posegraph import PoseGraph, relative_poses
+from agentpose.posegraph import BOX_WIDTH, PoseGraph, relative_poses
 from agentpose.scenario import VARIANCE_FLOOR, ScenarioError, Scene, SceneAgent, SceneObject, derive_seed
-from agentpose.uncertainty import BoxDetection, transform_box
+from agentpose.uncertainty import transform_box
+
+
+def box_block(rows) -> np.ndarray:
+    """A message block from box rows, each in AgentMessage's 11 columns; no rows give (0, 11)."""
+    return np.array(rows, dtype=float).reshape(-1, BOX_WIDTH)
 
 
 def graph_from_edges(agent_ids, agent_poses, ego_index, object_poses, edges) -> PoseGraph:
@@ -182,7 +187,7 @@ def scalar_build_oracle(messages, ego_id, center_gap=2.0) -> PoseGraph:
 
 
 def scalar_corners(box):
-    """OrientedBox2.corners() of one box, counterclockwise."""
+    """The corners of one OrientedBox2, counterclockwise, from its fields."""
     c = math.cos(box.heading)
     s = math.sin(box.heading)
     hl = 0.5 * box.length
@@ -198,7 +203,8 @@ def scalar_rotated_iou_bev(a, b):
     corners, shoelace areas and circumradii itself."""
     if a == b:
         return 1.0
-    if math.hypot(b.cx - a.cx, b.cy - a.cy) > a.circumradius() + b.circumradius():
+    radius_a, radius_b = (0.5 * math.hypot(box.length, box.width) for box in (a, b))
+    if math.hypot(b.cx - a.cx, b.cy - a.cy) > radius_a + radius_b:
         return 0.0
     pa = scalar_corners(a)
     pb = scalar_corners(b)
@@ -317,7 +323,7 @@ def scalar_generate_scene(num_agents, num_objects, area=(100.0, 100.0), seed=0, 
 
 
 def scalar_detect(scene, agent_id, spec, rng):
-    """detect one object at a time, each local pose from compose, each box a BoxDetection."""
+    """An agent's message block rows one object at a time, each local pose from compose."""
     agent = scene.agent(agent_id)
     inv_pose = inverse(agent.pose)
     ex, ey = scene.extent
@@ -340,20 +346,8 @@ def scalar_detect(scene, agent_id, spec, rng):
         var_center = max(spec.variance_calibration * center_sd * center_sd, VARIANCE_FLOOR)
         var_heading = max(spec.variance_calibration * heading_sd * heading_sd, VARIANCE_FLOOR)
         confidence = min(max(spec.base_confidence - spec.confidence_decay * dist / spec.detection_range, 0.0), 1.0)
-        out.append(
-            BoxDetection(
-                cx=local.x + nx,
-                cy=local.y + ny,
-                cz=0.0,
-                length=obj.length,
-                width=obj.width,
-                height=1.6,
-                theta=local.theta + nt,
-                var_x=var_center,
-                var_y=var_center,
-                var_theta=var_heading,
-                confidence=confidence,
-                agent_id=agent_id,
-            )
-        )
+        out.append([
+            local.x + nx, local.y + ny, 0.0, obj.length, obj.width, 1.6, normalize_angle(local.theta + nt),
+            var_center, var_center, var_heading, confidence,
+        ])
     return out

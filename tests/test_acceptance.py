@@ -14,9 +14,9 @@ import pytest
 from agentpose.evaluate import BenchmarkConfig, average_precision, run_benchmark
 from agentpose.geometry import OrientedBox2, normalize_angle, rotated_iou_bev
 from agentpose.oracles import ap_bruteforce, closure_clusters, mc_iou
-from agentpose.posegraph import _Problem, build_pose_graph, cluster_boxes, optimize, relative_poses
+from agentpose.posegraph import _cluster_labels, _Problem, build_pose_graph, optimize, relative_poses
 from agentpose.scenario import DetectorSpec, NoiseSpec, generate_scene, make_messages, save_json
-from agentpose.uncertainty import BoxDetection, gaussian_center_loss, von_mises_angle_loss
+from agentpose.uncertainty import gaussian_center_loss, von_mises_angle_loss
 
 from helpers import dense_jacobian, independent_solver_objective, random_noisy_graph
 
@@ -266,20 +266,14 @@ class TestCriterion6OracleEquivalence:
         mismatches = 0
         for _ in range(500):
             n = int(rng.integers(0, 13))
-            boxes = []
-            for i in range(n):
-                boxes.append(
-                    (
-                        f"a{i}",
-                        BoxDetection(
-                            cx=float(rng.uniform(-8, 8)), cy=float(rng.uniform(-8, 8)), cz=0.0,
-                            length=4.0, width=2.0, height=1.5, theta=0.0,
-                            var_x=0.1, var_y=0.1, var_theta=0.1, confidence=0.5, agent_id=f"a{i}",
-                        ),
-                    )
-                )
-            got = sorted(tuple(c) for c in cluster_boxes(boxes, center_gap=2.0))
-            want = closure_clusters([(b.cx, b.cy) for _, b in boxes], 2.0)
+            centers = [(float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8))) for _ in range(n)]
+            xs, ys = np.array(centers, dtype=float).reshape(-1, 2).T
+            # One agent per box, so no box is split off; both number clusters by smallest member.
+            got = _cluster_labels(xs, ys, np.arange(n), np.full(n, 0.5), 2.0).tolist()
+            want = [0] * n
+            for label, members in enumerate(closure_clusters(centers, 2.0)):
+                for i in members:
+                    want[i] = label
             if got != want:
                 mismatches += 1
         report_line("6c clustering vs closure", mismatches == 0, f"{500 - mismatches}/500 instances equal")

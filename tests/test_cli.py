@@ -310,6 +310,16 @@ class TestSelftestAndUsage:
         block = section.split("```json", 1)[1].split("```", 1)[0]
         assert json.dumps(json.loads(block), sort_keys=True) == json.dumps(config_defaults(), sort_keys=True)
 
+    def test_readme_library_use_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library use", 1)[1]
+        block = section.split("```python", 1)[1].split("```", 1)[0]
+        names: dict = {}
+        exec(compile(block, "README.md", "exec"), names)
+        assert set(names["corrected"]) == {a.agent_id for a in names["scene"].agents}
+        assert names["report"].status == "clean" and names["report"].levels[0].n_scenes == 200
+        assert capsys.readouterr().out.strip() == str(names["report"].levels[0].median_reduction_ratio)
+
 
 def imported_names(module: str) -> set[str]:
     """Dotted names a package module imports; relative imports keep their leading dots."""

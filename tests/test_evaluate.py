@@ -17,7 +17,6 @@ import pytest
 import agentpose.evaluate
 from agentpose.evaluate import (
     BenchmarkConfig,
-    _ground_truth_in_ego,
     _pair_errors,
     _run_scene,
     average_precision,
@@ -26,20 +25,22 @@ from agentpose.evaluate import (
     relative_pose_error,
     run_benchmark,
 )
-from agentpose.geometry import OrientedBox2, Pose2, rotated_iou_bev
+from agentpose.geometry import OrientedBox2, Pose2, compose, inverse, rotated_iou_bev
 from agentpose.oracles import ap_bruteforce
 from agentpose.posegraph import AgentMessage, build_pose_graph, optimize, relative_poses
 from agentpose.scenario import DetectorSpec, derive_seed, generate_scene, make_messages
 from agentpose.uncertainty import BoxDetection
 
-from helpers import scalar_average_precision, scalar_late_fuse, scalar_pair_errors
+from helpers import box_block, scalar_average_precision, scalar_late_fuse, scalar_pair_errors
 
 
-def make_box(cx, cy, theta=0.0, confidence=0.8, agent_id="a", length=4.0, width=2.0):
-    return BoxDetection(
-        cx=cx, cy=cy, cz=0.0, length=length, width=width, height=1.6, theta=theta,
-        var_x=0.04, var_y=0.04, var_theta=0.01, confidence=confidence, agent_id=agent_id,
-    )
+def make_box(cx, cy, theta=0.0, confidence=0.8, length=4.0, width=2.0):
+    """One block row of a box 1.6 m high."""
+    return [cx, cy, 0.0, length, width, 1.6, theta, 0.04, 0.04, 0.01, confidence]
+
+
+def message(agent_id, rows):
+    return AgentMessage(agent_id, Pose2.identity(), box_block(rows))
 
 
 class TestRelativePoseError:
@@ -112,16 +113,15 @@ def identity_rel(ids):
 
 class TestLateFuse:
     def test_single_agent_boxes_unchanged(self):
-        boxes = (make_box(3.0, 1.0, 0.2), make_box(20.0, -5.0, -0.7))
-        msg = AgentMessage("a0", Pose2.identity(), boxes)
-        fused = late_fuse([msg], identity_rel(["a0"]))
-        assert tuple(fused) == boxes
+        boxes = [make_box(3.0, 1.0, 0.2), make_box(20.0, -5.0, -0.7)]
+        fused = late_fuse([message("a0", boxes)], identity_rel(["a0"]))
+        assert fused == [BoxDetection(*row, agent_id="a0") for row in boxes]
 
     def test_duplicate_detections_deduplicated(self):
         boxes = [Pose2(5.0, 2.0, 0.3), Pose2(15.0, -4.0, 1.0)]
         msgs = [
-            AgentMessage("a0", Pose2.identity(), tuple(make_box(p.x, p.y, p.theta, agent_id="a0") for p in boxes)),
-            AgentMessage("a1", Pose2.identity(), tuple(make_box(p.x, p.y, p.theta, agent_id="a1") for p in boxes)),
+            message("a0", [make_box(p.x, p.y, p.theta) for p in boxes]),
+            message("a1", [make_box(p.x, p.y, p.theta) for p in boxes]),
         ]
         fused = late_fuse(msgs, identity_rel(["a0", "a1"]))
         assert len(fused) == 2
@@ -130,8 +130,8 @@ class TestLateFuse:
         # 2x2 squares at distance 18/11 have IoU exactly 0.10 < 0.15.
         d = 18.0 / 11.0
         msgs = [
-            AgentMessage("a0", Pose2.identity(), (make_box(0.0, 0.0, length=2.0, width=2.0, agent_id="a0"),)),
-            AgentMessage("a1", Pose2.identity(), (make_box(d, 0.0, length=2.0, width=2.0, agent_id="a1"),)),
+            message("a0", [make_box(0.0, 0.0, length=2.0, width=2.0)]),
+            message("a1", [make_box(d, 0.0, length=2.0, width=2.0)]),
         ]
         fused = late_fuse(msgs, identity_rel(["a0", "a1"]))
         assert len(fused) == 2
@@ -140,15 +140,15 @@ class TestLateFuse:
         # Distance 4/3 gives IoU 0.20 >= 0.15: lower confidence box dropped.
         d = 4.0 / 3.0
         msgs = [
-            AgentMessage("a0", Pose2.identity(), (make_box(0.0, 0.0, length=2.0, width=2.0, confidence=0.9, agent_id="a0"),)),
-            AgentMessage("a1", Pose2.identity(), (make_box(d, 0.0, length=2.0, width=2.0, confidence=0.5, agent_id="a1"),)),
+            message("a0", [make_box(0.0, 0.0, length=2.0, width=2.0, confidence=0.9)]),
+            message("a1", [make_box(d, 0.0, length=2.0, width=2.0, confidence=0.5)]),
         ]
         fused = late_fuse(msgs, identity_rel(["a0", "a1"]))
         assert len(fused) == 1
         assert fused[0].confidence == 0.9
 
     def test_warps_through_relative_pose(self):
-        msg = AgentMessage("a1", Pose2.identity(), (make_box(1.0, 0.0, 0.0, agent_id="a1"),))
+        msg = message("a1", [make_box(1.0, 0.0, 0.0)])
         rel = {"a1": Pose2(10.0, 0.0, math.pi / 2)}
         fused = late_fuse([msg], rel)
         assert fused[0].cx == pytest.approx(10.0, abs=1e-12)
@@ -158,27 +158,30 @@ class TestLateFuse:
         rng = np.random.default_rng(112)
         msgs = []
         for a in range(3):
-            boxes = tuple(
-                make_box(float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20)),
-                         confidence=float(rng.uniform(0.2, 1.0)), agent_id=f"a{a}")
+            boxes = [
+                make_box(
+                    float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20)), confidence=float(rng.uniform(0.2, 1.0))
+                )
                 for _ in range(5)
-            )
-            msgs.append(AgentMessage(f"a{a}", Pose2.identity(), boxes))
+            ]
+            msgs.append(message(f"a{a}", boxes))
         rel = identity_rel([m.agent_id for m in msgs])
         fused_fwd = late_fuse(msgs, rel)
         fused_rev = late_fuse(list(reversed(msgs)), rel)
         assert fused_fwd == fused_rev
+        # Identity relative poses keep every centre's bits: each kept box names its sender.
+        sender = {(row[0], row[1]): m.agent_id for m in msgs for row in m.block.tolist()}
+        assert fused_fwd and all(b.agent_id == sender[b.cx, b.cy] for b in fused_fwd)
 
     def test_missing_relative_pose_rejected(self):
-        msg = AgentMessage("a0", Pose2.identity(), ())
         with pytest.raises(ValueError):
-            late_fuse([msg], {})
+            late_fuse([message("a0", [])], {})
 
     def test_duplicate_agent_ids_rejected(self):
         # Two messages from one agent would rank their boxes by message order.
         msgs = [
-            AgentMessage("a1", Pose2.identity(), (make_box(0.0, 0.0, confidence=0.5, agent_id="a1"),)),
-            AgentMessage("a1", Pose2.identity(), (make_box(0.5, 0.0, confidence=0.5, agent_id="a1"),)),
+            message("a1", [make_box(0.0, 0.0, confidence=0.5)]),
+            message("a1", [make_box(0.5, 0.0, confidence=0.5)]),
         ]
         with pytest.raises(ValueError, match="duplicate agent_id"):
             late_fuse(msgs, identity_rel(["a1"]))
@@ -190,11 +193,15 @@ TANGENT = 5.0
 NEAR_TANGENT = (np.nextafter(TANGENT, 0.0), TANGENT, np.nextafter(TANGENT, np.inf))
 
 
-def random_box(rng, cx, cy, confidence, agent_id=""):
+def random_box(rng, cx, cy, confidence):
     return make_box(
-        cx, cy, float(rng.uniform(-math.pi, math.pi)), confidence=confidence, agent_id=agent_id,
+        cx, cy, float(rng.uniform(-math.pi, math.pi)), confidence=confidence,
         length=float(rng.uniform(1.0, 6.0)), width=float(rng.uniform(0.5, 3.0)),
     )
+
+
+def footprint(row):
+    return BoxDetection(*row).footprint()
 
 
 def random_round(rng, offset=0.0):
@@ -207,11 +214,11 @@ def random_round(rng, offset=0.0):
     for a in range(n_agents):
         aid = f"a{a}"
         rel[aid] = Pose2(base.x + rng.uniform(-2, 2), base.y + rng.uniform(-2, 2), base.theta + rng.uniform(-0.3, 0.3))
-        boxes = tuple(
-            random_box(rng, *rng.uniform(-8, 8, 2), float(rng.choice([0.3, 0.5, 0.9])), aid)
+        boxes = [
+            random_box(rng, *rng.uniform(-8, 8, 2), float(rng.choice([0.3, 0.5, 0.9])))
             for _ in range(int(rng.integers(0, 9)))
-        )
-        msgs.append(AgentMessage(aid, Pose2.identity(), boxes))
+        ]
+        msgs.append(message(aid, boxes))
     return msgs, rel
 
 
@@ -231,7 +238,7 @@ class TestLateFuseMatchesScalar:
         rng = np.random.default_rng(116)
         boxes = [random_box(rng, *rng.uniform(-8, 8, 2), 0.7) for _ in range(6)]
         frame = Pose2(3.0, -2.0, 0.4)
-        msgs = [AgentMessage(a, Pose2.identity(), tuple(boxes)) for a in ("a1", "a0")]
+        msgs = [message(a, boxes) for a in ("a1", "a0")]
         rel = {"a0": frame, "a1": frame}
         for nms_iou in (0.15, 1.0):
             fused = late_fuse(msgs, rel, nms_iou)
@@ -242,7 +249,7 @@ class TestLateFuseMatchesScalar:
     def test_tangent_circumcircles(self, gap):
         for heading in (0.0, math.atan2(4.0, 3.0), 1.0):
             msgs = [
-                AgentMessage(aid, Pose2.identity(), (make_box(x, 0.0, heading, 0.5, aid, length=3.0, width=4.0),))
+                message(aid, [make_box(x, 0.0, heading, 0.5, length=3.0, width=4.0)])
                 for aid, x in (("a0", 0.0), ("a1", float(gap)))
             ]
             rel = identity_rel(["a0", "a1"])
@@ -253,18 +260,18 @@ class TestLateFuseMatchesScalar:
         # IoU(candidate, kept) the argument order decides whether it is dropped.
         rng = np.random.default_rng(118)
         while True:
-            kept, cand = (random_box(rng, *rng.uniform(-1, 1, 2), conf, "a0") for conf in (0.9, 0.5))
-            nms_iou = rotated_iou_bev(cand.footprint(), kept.footprint())
-            if nms_iou > rotated_iou_bev(kept.footprint(), cand.footprint()):
+            kept, cand = (random_box(rng, *rng.uniform(-1, 1, 2), conf) for conf in (0.9, 0.5))
+            nms_iou = rotated_iou_bev(footprint(cand), footprint(kept))
+            if nms_iou > rotated_iou_bev(footprint(kept), footprint(cand)):
                 break
-        msgs = [AgentMessage("a0", Pose2.identity(), (cand, kept))]
+        msgs = [message("a0", [cand, kept])]
         fused = late_fuse(msgs, identity_rel(["a0"]), nms_iou)
         assert fused == scalar_late_fuse(msgs, identity_rel(["a0"]), nms_iou)
         assert len(fused) == 1
 
     def test_empty(self):
         assert late_fuse([], {}) == []
-        msgs = [AgentMessage("a0", Pose2.identity(), ()), AgentMessage("a1", Pose2.identity(), ())]
+        msgs = [message("a0", []), message("a1", [])]
         assert late_fuse(msgs, identity_rel(["a0", "a1"])) == []
 
 
@@ -343,7 +350,7 @@ class TestAveragePrecisionMatchesScalar:
         rng = np.random.default_rng(117)
 
         def box():
-            return random_box(rng, *(offset + rng.uniform(-8, 8, 2)), 0.5).footprint()
+            return footprint(random_box(rng, *(offset + rng.uniform(-8, 8, 2)), 0.5))
 
         for _ in range(300):
             gts = [box() for _ in range(int(rng.integers(0, 8)))]
@@ -364,7 +371,7 @@ class TestAveragePrecisionMatchesScalar:
     def test_detection_is_clipped_against_ground_truth_in_that_order(self):
         rng = np.random.default_rng(119)
         while True:
-            det, gt = (random_box(rng, *rng.uniform(-1, 1, 2), 0.5).footprint() for _ in range(2))
+            det, gt = (footprint(random_box(rng, *rng.uniform(-1, 1, 2), 0.5)) for _ in range(2))
             thr = rotated_iou_bev(det, gt)
             if 0.0 < rotated_iou_bev(gt, det) < thr < 1.0:
                 break
@@ -387,7 +394,10 @@ class TestAveragePrecisionMatchesScalar:
             messages = make_messages(scene, config.noise_at(0), config.detector, derive_seed(config.seed, "msgs", 0, idx))
             ego = scene.agents[0].agent_id
             result = optimize(build_pose_graph(messages, ego, config.cluster_gap), config.solver)
-            gts = _ground_truth_in_ego(scene, ego)
+            # Ground truth in the ego frame, one compose per object.
+            frame = inverse(scene.agent(ego).pose)
+            local = [(compose(frame, o.pose), o) for o in scene.objects]
+            gts = [OrientedBox2(p.x, p.y, o.length, o.width, p.theta) for p, o in local]
             poses = {
                 "corrected": result.agent_poses,
                 "uncorrected": {m.agent_id: m.measured_pose for m in messages},

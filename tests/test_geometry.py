@@ -16,7 +16,6 @@ from agentpose.geometry import (
     close_pairs,
     compose,
     compose_columns,
-    consistency_error,
     footprint_iou,
     footprints,
     inverse,
@@ -26,6 +25,7 @@ from agentpose.geometry import (
     wrap_angles,
 )
 from agentpose.oracles import compose_oracle, consistency_oracle, inverse_oracle, mc_iou
+from agentpose.posegraph import PoseGraph, _Problem
 
 from helpers import scalar_corners, scalar_rotated_iou_bev
 
@@ -175,32 +175,47 @@ class TestInverse:
             assert_pose_close(inverse(p), inverse_oracle(p.as_tuple()), atol=1e-10)
 
 
+def solver_residuals(triples):
+    """The solver's unweighted residual (_Problem.evaluate) of each (z, xi, chi) triple, one row each.
+
+    In triple k, agent k at pose xi sees object k at pose chi through the
+    measurement z. Each edge is given twice, since a PoseGraph object needs
+    two edges or more.
+    """
+    n = len(triples)
+    z, xi, chi = (np.array([t[i].as_tuple() for t in triples]).reshape(-1, 3) for i in range(3))
+    k = np.repeat(np.arange(n), 2)
+    nodes = (Pose2.identity(),) * n
+    graph = PoseGraph(tuple(map(str, range(n))), nodes, 0, nodes, np.stack((k, k), axis=1), z[k], np.ones((2 * n, 3)))
+    return _Problem(graph).evaluate(np.concatenate((xi, chi)))[0][::2]
+
+
 class TestConsistencyError:
     def test_consistent_measurement_is_zero(self):
         rng = np.random.default_rng(41)
+        triples = []
         for _ in range(300):
             xi, z = random_pose(rng, 20.0), random_pose(rng, 20.0)
-            e = consistency_error(z, xi, compose(xi, z))
-            assert np.max(np.abs(e)) <= 1e-10
+            triples.append((z, xi, compose(xi, z)))
+        assert np.max(np.abs(solver_residuals(triples))) <= 1e-10
 
     def test_inconsistent_triples_match_oracle(self):
         rng = np.random.default_rng(43)
-        for _ in range(300):
-            z, xi, chi = random_pose(rng, 20.0), random_pose(rng, 20.0), random_pose(rng, 20.0)
-            e = consistency_error(z, xi, chi)
+        triples = [tuple(random_pose(rng, 20.0) for _ in range(3)) for _ in range(300)]
+        for e, (z, xi, chi) in zip(solver_residuals(triples), triples):
             assert_pose_close(Pose2(*e), consistency_oracle(z.as_tuple(), xi.as_tuple(), chi.as_tuple()), atol=1e-10)
 
     def test_trivial_consistent(self):
-        e = consistency_error(Pose2(1.0, 0.0, 0.0), Pose2.identity(), Pose2(1.0, 0.0, 0.0))
+        (e,) = solver_residuals([(Pose2(1.0, 0.0, 0.0), Pose2.identity(), Pose2(1.0, 0.0, 0.0))])
         np.testing.assert_allclose(e, [0.0, 0.0, 0.0], atol=1e-15)
 
     def test_offset_example(self):
         # Frozen from evaluating the composition with the matrix oracle.
-        e = consistency_error(Pose2(1.0, 0.0, 0.0), Pose2.identity(), Pose2(2.0, 0.0, 0.0))
+        (e,) = solver_residuals([(Pose2(1.0, 0.0, 0.0), Pose2.identity(), Pose2(2.0, 0.0, 0.0))])
         np.testing.assert_allclose(e, [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_angle_component_normalized(self):
-        e = consistency_error(Pose2(0, 0, 3.0), Pose2(0, 0, -3.0), Pose2(0, 0, 0.5))
+        (e,) = solver_residuals([(Pose2(0, 0, 3.0), Pose2(0, 0, -3.0), Pose2(0, 0, 0.5))])
         assert -math.pi < e[2] <= math.pi
 
 
@@ -282,9 +297,14 @@ def bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
+def radii(boxes) -> list[float]:
+    """The circumradius footprints gives each box, the one rotated_iou_bev tests against."""
+    return [radius for _, _, _, radius in footprints(*columns(boxes))]
+
+
 def near_tangent(a: OrientedBox2, b: OrientedBox2, ulps: int) -> OrientedBox2:
     """b moved along x so that its centre distance to a is the circumradius sum, then ulps steps on."""
-    cx = a.cx + (a.circumradius() + b.circumradius())
+    cx = a.cx + sum(radii([a, b]))
     for _ in range(abs(ulps)):
         cx = math.nextafter(cx, math.copysign(math.inf, ulps))
     return OrientedBox2(cx, a.cy, b.length, b.width, b.heading)
@@ -353,9 +373,9 @@ class TestFootprintKernel:
         boxes = [random_box(rng, 1e3) for _ in range(50)]
         for box, (key, corners, area, radius) in zip(boxes, footprints(*columns(boxes))):
             assert key == (box.cx, box.cy, box.length, box.width, box.heading)
-            assert corners == scalar_corners(box) == box.corners()
+            assert corners == scalar_corners(box)
             assert bits(area) == bits(_polygon_area(scalar_corners(box)))
-            assert bits(radius) == bits(box.circumradius())
+            assert bits(radius) == bits(0.5 * math.hypot(box.length, box.width))
             assert area == pytest.approx(box.length * box.width, rel=1e-9)
 
     def test_no_boxes(self):
@@ -402,7 +422,7 @@ class TestPairSearch:
             boxes = [OrientedBox2(b.cx + offset, b.cy - offset, b.length, b.width, b.heading) for b in boxes]
             for a in list(boxes[:5]):
                 b = random_box(rng)
-                gap = a.circumradius() + b.circumradius()
+                gap = sum(radii([a, b]))
                 for ulps in range(-2, 3):
                     cx = a.cx + gap
                     for _ in range(abs(ulps)):
@@ -413,15 +433,16 @@ class TestPairSearch:
             cx = np.array([b.cx for b in boxes])
             cy = np.array([b.cy for b in boxes])
             got = pair_list(*overlap_pairs(cx, cy, 0.5 * np.hypot(lengths, widths)))
+            radius = radii(boxes)
             for i, a in enumerate(boxes):
                 for j in range(i + 1, len(boxes)):
                     b = boxes[j]
-                    if math.hypot(b.cx - a.cx, b.cy - a.cy) <= a.circumradius() + b.circumradius():
+                    if math.hypot(b.cx - a.cx, b.cy - a.cy) <= radius[i] + radius[j]:
                         assert (i, j) in got
                     if rotated_iou_bev(a, b) > 0.0 or rotated_iou_bev(b, a) > 0.0:
                         assert (i, j) in got
                     if (i, j) in got:
-                        assert math.hypot(b.cx - a.cx, b.cy - a.cy) <= (a.circumradius() + b.circumradius()) * (1 + 1e-8)
+                        assert math.hypot(b.cx - a.cx, b.cy - a.cy) <= (radius[i] + radius[j]) * (1 + 1e-8)
 
     def test_overlap_pairs_cover_hypot_rounding(self):
         # np.hypot and math.hypot differ in the last bit on some inputs. A pair
@@ -433,10 +454,11 @@ class TestPairSearch:
         found = 0
         for length, width, r in zip(lengths.tolist(), widths.tolist(), radius.tolist()):
             a = OrientedBox2(0.0, 0.0, length, width, 0.3)
-            if r < a.circumradius():
+            exact = 0.5 * math.hypot(length, width)
+            if r < exact:
                 found += 1
-                b = OrientedBox2(2.0 * a.circumradius(), 0.0, length, width, -0.3)
-                assert math.hypot(b.cx - a.cx, b.cy - a.cy) <= a.circumradius() + b.circumradius()
+                b = OrientedBox2(2.0 * exact, 0.0, length, width, -0.3)
+                assert math.hypot(b.cx - a.cx, b.cy - a.cy) <= sum(radii([a, b]))
                 i, j = overlap_pairs(np.array([a.cx, b.cx]), np.zeros(2), np.array([r, r]))
                 assert (i.tolist(), j.tolist()) == ([0], [1])
         if not found:

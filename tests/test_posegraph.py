@@ -18,11 +18,11 @@ from agentpose.posegraph import (
     PoseGraph,
     SolverParams,
     _Problem,
+    _cluster_labels,
     _components,
     _schur_step,
+    _seed_poses,
     build_pose_graph,
-    cluster_boxes,
-    init_object_pose,
     optimize,
     relative_poses,
     with_uniform_info,
@@ -32,6 +32,7 @@ from agentpose.uncertainty import BoxDetection
 
 import helpers
 from helpers import (
+    box_block,
     dense_jacobian,
     dense_normal_equations,
     graph_from_edges,
@@ -42,11 +43,9 @@ from helpers import (
 )
 
 
-def make_box(cx, cy, theta=0.0, var_x=0.04, var_y=0.04, var_theta=0.01, confidence=0.8, agent_id="a"):
-    return BoxDetection(
-        cx=cx, cy=cy, cz=0.0, length=4.0, width=2.0, height=1.6, theta=theta,
-        var_x=var_x, var_y=var_y, var_theta=var_theta, confidence=confidence, agent_id=agent_id,
-    )
+def make_box(cx, cy, theta=0.0, var_x=0.04, var_y=0.04, var_theta=0.01, confidence=0.8):
+    """One block row of a 4 x 2 x 1.6 m box."""
+    return [cx, cy, 0.0, 4.0, 2.0, 1.6, theta, var_x, var_y, var_theta, confidence]
 
 
 def exact_message(agent_id, true_pose, object_poses, measured=None, **box_kwargs):
@@ -54,87 +53,71 @@ def exact_message(agent_id, true_pose, object_poses, measured=None, **box_kwargs
     boxes = []
     for obj in object_poses:
         local = compose(inverse(true_pose), obj)
-        boxes.append(make_box(local.x, local.y, local.theta, agent_id=agent_id, **box_kwargs))
-    return AgentMessage(agent_id, measured if measured is not None else true_pose, tuple(boxes))
+        boxes.append(make_box(local.x, local.y, local.theta, **box_kwargs))
+    return AgentMessage(agent_id, measured if measured is not None else true_pose, box_block(boxes))
+
+
+def cluster_labels(boxes, center_gap=2.0):
+    """_cluster_labels of boxes given as (agent number, cx, cy, confidence), as a list."""
+    agent, xs, ys, confidence = np.array(boxes, dtype=float).reshape(-1, 4).T
+    return _cluster_labels(xs, ys, agent.astype(np.intp), confidence, center_gap).tolist()
+
+
+def closure_labels(centers, gap):
+    """Each center's cluster number under closure_clusters, which sorts clusters by smallest member."""
+    labels = [0] * len(centers)
+    for label, members in enumerate(closure_clusters(centers, gap)):
+        for i in members:
+            labels[i] = label
+    return labels
 
 
 class TestClusterBoxes:
     def test_identical_centers_two_agents(self):
-        boxes = [("a", make_box(1.0, 1.0, agent_id="a")), ("b", make_box(1.0, 1.0, agent_id="b"))]
-        assert cluster_boxes(boxes) == [[0, 1]]
+        assert cluster_labels([(0, 1.0, 1.0, 0.8), (1, 1.0, 1.0, 0.8)]) == [0, 0]
 
     def test_far_apart_singletons(self):
-        boxes = [("a", make_box(0.0, 0.0)), ("b", make_box(100.0, 0.0))]
-        assert cluster_boxes(boxes) == [[0], [1]]
+        assert cluster_labels([(0, 0.0, 0.0, 0.8), (1, 100.0, 0.0, 0.8)]) == [0, 1]
 
     def test_chain_is_transitive(self):
         # A-B and B-C gaps 1.5 m, A-C gap 3 m: one component under gap 2.
-        boxes = [
-            ("a", make_box(0.0, 0.0, agent_id="a")),
-            ("b", make_box(1.5, 0.0, agent_id="b")),
-            ("c", make_box(3.0, 0.0, agent_id="c")),
-        ]
-        assert cluster_boxes(boxes, center_gap=2.0) == [[0, 1, 2]]
+        assert cluster_labels([(0, 0.0, 0.0, 0.8), (1, 1.5, 0.0, 0.8), (2, 3.0, 0.0, 0.8)]) == [0, 0, 0]
 
     def test_empty_input(self):
-        assert cluster_boxes([]) == []
+        assert cluster_labels([]) == []
 
     def test_same_agent_duplicates_split(self):
-        boxes = [
-            ("a", make_box(0.0, 0.0, confidence=0.5, agent_id="a")),
-            ("a", make_box(0.5, 0.0, confidence=0.9, agent_id="a")),
-            ("b", make_box(0.2, 0.0, confidence=0.7, agent_id="b")),
-        ]
-        clusters = cluster_boxes(boxes, center_gap=2.0)
-        # The higher-confidence box of agent "a" stays with "b"; the other splits off.
-        assert [1, 2] in clusters and [0] in clusters
-        for cluster in clusters:
-            agents = [boxes[i][0] for i in cluster]
-            assert len(agents) == len(set(agents))
+        # The higher-confidence box of agent 0 stays with agent 1's; the other splits off.
+        assert cluster_labels([(0, 0.0, 0.0, 0.5), (0, 0.5, 0.0, 0.9), (1, 0.2, 0.0, 0.7)]) == [0, 1, 1]
 
     def test_matches_transitive_closure_oracle(self):
         rng = np.random.default_rng(81)
         for _ in range(200):
             n = int(rng.integers(0, 13))
-            boxes = [
-                (f"a{i}", make_box(float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8)), agent_id=f"a{i}"))
-                for i in range(n)
-            ]
-            got = sorted(tuple(c) for c in cluster_boxes(boxes, center_gap=2.0))
-            want = closure_clusters([(b.cx, b.cy) for _, b in boxes], 2.0)
-            assert got == want
+            centers = [(float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8))) for _ in range(n)]
+            got = cluster_labels([(i, cx, cy, 0.8) for i, (cx, cy) in enumerate(centers)])
+            assert got == closure_labels(centers, 2.0)
 
     def test_dropped_duplicate_does_not_leave_a_disconnected_cluster(self):
         # A-B1-B2-C is one chain under gap 2; dropping the weaker B1 cuts A off from B2-C.
-        boxes = [
-            ("a", make_box(0.0, 0.0, confidence=0.9, agent_id="a")),
-            ("b", make_box(1.8, 0.0, confidence=0.5, agent_id="b")),
-            ("b", make_box(3.0, 0.0, confidence=0.9, agent_id="b")),
-            ("c", make_box(4.5, 0.0, confidence=0.9, agent_id="c")),
-        ]
-        assert cluster_boxes(boxes, center_gap=2.0) == [[0], [1], [2, 3]]
+        boxes = [(0, 0.0, 0.0, 0.9), (1, 1.8, 0.0, 0.5), (1, 3.0, 0.0, 0.9), (2, 4.5, 0.0, 0.9)]
+        assert cluster_labels(boxes) == [0, 1, 2, 2]
 
     def test_clusters_connected_with_distinct_agents(self):
         rng = np.random.default_rng(82)
         for _ in range(300):
             boxes = [
-                (
-                    agent,
-                    make_box(
-                        float(rng.uniform(-6, 6)), float(rng.uniform(-6, 6)),
-                        confidence=float(rng.choice([0.5, 0.7, 0.9])), agent_id=agent,
-                    ),
-                )
-                for agent in ("a", "b", "c", "d")
+                (agent, float(rng.uniform(-6, 6)), float(rng.uniform(-6, 6)), float(rng.choice([0.5, 0.7, 0.9])))
+                for agent in range(4)
                 for _ in range(int(rng.integers(1, 5)))
             ]
-            clusters = cluster_boxes(boxes, center_gap=2.0)
-            assert sorted(i for c in clusters for i in c) == list(range(len(boxes)))
-            for cluster in clusters:
-                agents = [boxes[i][0] for i in cluster]
+            labels = cluster_labels(boxes)
+            assert sorted(set(labels)) == list(range(max(labels) + 1))
+            for label in set(labels):
+                members = [box for box, other in zip(boxes, labels) if other == label]
+                agents = [agent for agent, _, _, _ in members]
                 assert len(agents) == len(set(agents))
-                centers = [(boxes[i][1].cx, boxes[i][1].cy) for i in cluster]
-                assert len(closure_clusters(centers, 2.0)) == 1
+                assert len(closure_clusters([(cx, cy) for _, cx, cy, _ in members], 2.0)) == 1
 
     def test_components_match_all_pairs_reference(self):
         # Lattice points put many pairs exactly at the gap (not linked: the test
@@ -163,49 +146,57 @@ class TestClusterBoxes:
                 assert _components(xs, ys, gap * gap).tolist() == all_pairs(xs, ys, gap * gap)
 
     def test_rejects_bad_gap(self):
-        with pytest.raises(ValueError):
-            cluster_boxes([], center_gap=0.0)
+        with pytest.raises(ValueError, match="center_gap"):
+            cluster_labels([], center_gap=0.0)
+
+
+def seed_args(members, obj=None):
+    """_seed_poses arguments of members given as (gx, gy, gt, var_x, var_y, var_theta), one object by default."""
+    cols = np.array(members, dtype=float)
+    obj = np.zeros(len(cols), dtype=np.intp) if obj is None else np.array(obj)
+    return (*cols[:, :3].T, 1.0 / cols[:, 3:], obj, int(obj.max()) + 1)
 
 
 class TestInitObjectPose:
+    """The object seeds of _seed_poses; build_pose_graph lifts the members first."""
+
     def test_single_member(self):
-        pose = init_object_pose([(make_box(1.0, 2.0, 0.5), Pose2.identity())])
+        (pose,) = _seed_poses(*seed_args([(1.0, 2.0, 0.5, 0.04, 0.04, 0.01)]))
         assert (pose.x, pose.y) == pytest.approx((1.0, 2.0), abs=1e-12)
         assert pose.theta == pytest.approx(0.5, abs=1e-12)
 
     def test_symmetric_mean(self):
+        # Two objects seeded in one call, their members interleaved.
         members = [
-            (make_box(0.0, 0.0, 0.0), Pose2.identity()),
-            (make_box(2.0, 0.0, 0.0), Pose2.identity()),
+            (0.0, 0.0, 0.0, 0.04, 0.04, 0.01),
+            (5.0, 5.0, 1.0, 0.04, 0.04, 0.01),
+            (2.0, 0.0, 0.0, 0.04, 0.04, 0.01),
+            (5.0, 7.0, 1.0, 0.04, 0.04, 0.01),
         ]
-        pose = init_object_pose(members)
-        assert (pose.x, pose.y, pose.theta) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+        first, second = _seed_poses(*seed_args(members, obj=[0, 1, 0, 1]))
+        assert (first.x, first.y, first.theta) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+        assert (second.x, second.y, second.theta) == pytest.approx((5.0, 6.0, 1.0), abs=1e-12)
 
     def test_circular_mean_wraps(self):
         # +170 and -170 degrees average to 180, not 0.
-        members = [
-            (make_box(0.0, 0.0, math.radians(170.0)), Pose2.identity()),
-            (make_box(0.0, 0.0, math.radians(-170.0)), Pose2.identity()),
-        ]
-        assert init_object_pose(members).theta == pytest.approx(math.pi, abs=1e-12)
+        members = [(0.0, 0.0, math.radians(t), 0.04, 0.04, 0.01) for t in (170.0, -170.0)]
+        assert _seed_poses(*seed_args(members))[0].theta == pytest.approx(math.pi, abs=1e-12)
 
     def test_information_weighting(self):
         # Weights 1 and 4 on x: mean at (0*1 + 2*4)/5 = 1.6.
-        members = [
-            (make_box(0.0, 0.0, 0.0, var_x=1.0, var_y=1.0), Pose2.identity()),
-            (make_box(2.0, 0.0, 0.0, var_x=0.25, var_y=0.25), Pose2.identity()),
-        ]
-        assert init_object_pose(members).x == pytest.approx(1.6, abs=1e-12)
+        members = [(0.0, 0.0, 0.0, 1.0, 1.0, 0.01), (2.0, 0.0, 0.0, 0.25, 0.25, 0.01)]
+        assert _seed_poses(*seed_args(members))[0].x == pytest.approx(1.6, abs=1e-12)
 
     def test_owner_pose_applied(self):
+        # Both boxes lift to the same global pose, which seeds the object.
         owner = Pose2(10.0, 0.0, math.pi / 2)
-        pose = init_object_pose([(make_box(1.0, 0.0, 0.0), owner)])
         expected = compose(owner, Pose2(1.0, 0.0, 0.0))
-        assert (pose.x, pose.y) == pytest.approx((expected.x, expected.y), abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            init_object_pose([])
+        messages = [
+            AgentMessage("a0", owner, box_block([make_box(1.0, 0.0, 0.0)])),
+            AgentMessage("a1", Pose2.identity(), box_block([make_box(expected.x, expected.y, expected.theta)])),
+        ]
+        (pose,) = build_pose_graph(messages, "a1").object_poses
+        assert (pose.x, pose.y, pose.theta) == pytest.approx(expected.as_tuple(), abs=1e-12)
 
 
 class TestBuildPoseGraph:
@@ -381,12 +372,12 @@ def random_messages(rng, n_agents, max_boxes=8, span=6.0):
                 float(rng.uniform(-math.pi, math.pi)),
                 var_x=float(rng.uniform(0.01, 0.2)), var_y=float(rng.uniform(0.01, 0.2)),
                 var_theta=float(rng.uniform(0.001, 0.05)),
-                confidence=float(rng.choice([0.5, 0.7, 0.9])), agent_id=f"a{k}",
+                confidence=float(rng.choice([0.5, 0.7, 0.9])),
             )
             for _ in range(int(rng.integers(0, max_boxes + 1)))
         )
         pose = Pose2(*rng.uniform(-3.0, 3.0, 2), rng.uniform(-math.pi, math.pi))
-        messages.append(AgentMessage(f"a{k}", pose, boxes))
+        messages.append(AgentMessage(f"a{k}", pose, box_block(boxes)))
     return [messages[i] for i in rng.permutation(n_agents)]
 
 
@@ -416,8 +407,8 @@ class TestBuildMatchesScalarOracle:
 
     def test_confidence_tie_keeps_the_lowest_index(self):
         messages = [
-            AgentMessage("a", Pose2.identity(), (make_box(0.5, 0.0, agent_id="a"), make_box(0.0, 0.0, agent_id="a"))),
-            AgentMessage("b", Pose2.identity(), (make_box(0.2, 0.0, agent_id="b"),)),
+            AgentMessage("a", Pose2.identity(), box_block([make_box(0.5, 0.0), make_box(0.0, 0.0)])),
+            AgentMessage("b", Pose2.identity(), box_block([make_box(0.2, 0.0)])),
         ]
         graph = build_pose_graph(messages, "a")
         assert graph == scalar_build_oracle(messages, "a")
@@ -427,7 +418,7 @@ class TestBuildMatchesScalarOracle:
         objs = [Pose2(4.0, 4.0, 0.3), Pose2(12.0, -3.0, -0.8)]
         messages = [
             exact_message("a0", Pose2.identity(), objs),
-            AgentMessage("a1", Pose2(3.0, 1.0, 0.2), ()),
+            AgentMessage("a1", Pose2(3.0, 1.0, 0.2), box_block([])),
             exact_message("a2", Pose2(8.0, 2.0, 0.5), objs),
         ]
         graph = build_pose_graph(messages, "a1")
@@ -435,7 +426,10 @@ class TestBuildMatchesScalarOracle:
         assert len(graph.edges) == 4 and all(e.agent_index != 1 for e in graph.edges)
 
     def test_no_boxes_at_all(self):
-        messages = [AgentMessage("a0", Pose2.identity(), ()), AgentMessage("a1", Pose2(1.0, 0.0, 0.0), ())]
+        messages = [
+            AgentMessage("a0", Pose2.identity(), box_block([])),
+            AgentMessage("a1", Pose2(1.0, 0.0, 0.0), box_block([])),
+        ]
         graph = build_pose_graph(messages, "a0")
         assert graph == scalar_build_oracle(messages, "a0")
         assert graph.object_poses == () and graph.edges == ()
@@ -464,7 +458,7 @@ class TestBuildMatchesScalarOracle:
     def test_rejects_bad_gap(self, gap):
         objs = [Pose2(4.0, 4.0, 0.3)]
         messages = [exact_message("a0", Pose2.identity(), objs), exact_message("a1", Pose2(8.0, 2.0, 0.5), objs)]
-        for msgs in (messages, [AgentMessage("a0", Pose2.identity(), ())]):
+        for msgs in (messages, [AgentMessage("a0", Pose2.identity(), box_block([]))]):
             with pytest.raises(ValueError, match="center_gap"):
                 build_pose_graph(msgs, "a0", center_gap=gap)
 
@@ -619,7 +613,7 @@ class TestOptimize:
         messages = [
             exact_message("a0", Pose2.identity(), objs),
             exact_message("a1", Pose2(8.0, 2.0, 0.5), objs, measured=Pose2(8.3, 1.8, 0.55)),
-            AgentMessage("a2", lonely, ()),
+            AgentMessage("a2", lonely, box_block([])),
         ]
         graph = build_pose_graph(messages, "a0")
         result = optimize(graph)
@@ -661,7 +655,7 @@ def edgeless_agent_graph():
     messages = [
         exact_message("a0", Pose2(8.0, 2.0, 0.5), objs, measured=Pose2(8.3, 1.8, 0.55)),
         exact_message("a1", Pose2.identity(), objs),
-        AgentMessage("a2", Pose2(50.0, 50.0, 1.0), ()),
+        AgentMessage("a2", Pose2(50.0, 50.0, 1.0), box_block([])),
     ]
     return build_pose_graph(messages, "a1")
 

@@ -17,9 +17,10 @@ from agentpose.scenario import (
     Scene,
     SceneAgent,
     SceneObject,
+    _detect_block,
+    _object_columns,
     corrupt_pose,
     derive_seed,
-    detect,
     generate_scene,
     make_messages,
     messages_from_dict,
@@ -28,7 +29,7 @@ from agentpose.scenario import (
     scene_to_dict,
 )
 from agentpose.uncertainty import BoxDetection
-from helpers import scalar_detect, scalar_generate_scene
+from helpers import box_block, scalar_detect, scalar_generate_scene
 
 
 # Half sides of the areas the tests and perfbench place in, as generate_scene
@@ -235,22 +236,29 @@ def one_object_scene(object_pose=Pose2(20.0, 5.0, 0.8)) -> Scene:
     )
 
 
+def detector_inputs(scene):
+    """The first three arguments of _detect_block for the scene's first agent."""
+    return _object_columns(scene), scene.agents[0].pose, scene.extent
+
+
 class TestDetect:
+    """_detect_block, which make_messages runs for every agent; a row per box."""
+
     def test_zero_noise_reprojects_exactly(self):
         scene = one_object_scene()
         spec = DetectorSpec(center_noise_sd=0.0, heading_noise_sd=0.0)
-        boxes = detect(scene, "a0", spec, np.random.default_rng(0))
-        assert len(boxes) == 1
-        world = compose(scene.agents[0].pose, boxes[0].local_pose())
+        block = _detect_block(*detector_inputs(scene), spec, np.random.default_rng(0))
+        assert block.shape == (1, 11)
+        world = compose(scene.agents[0].pose, Pose2(block[0, 0], block[0, 1], block[0, 6]))
         obj = scene.objects[0].pose
         assert abs(world.x - obj.x) <= 1e-10
         assert abs(world.y - obj.y) <= 1e-10
         assert abs(world.theta - obj.theta) <= 1e-10
-        assert boxes[0].length == scene.objects[0].length
+        assert block[0, 3] == scene.objects[0].length
 
     def test_miss_rate_one_empty(self):
         spec = DetectorSpec(miss_rate=1.0)
-        assert detect(one_object_scene(), "a0", spec, np.random.default_rng(1)) == []
+        assert _detect_block(*detector_inputs(one_object_scene()), spec, np.random.default_rng(1)).shape == (0, 11)
 
     def test_out_of_range_excluded(self):
         scene = Scene(
@@ -259,7 +267,7 @@ class TestDetect:
             extent=(140.0, 140.0),
         )
         spec = DetectorSpec(detection_range=30.0)
-        assert detect(scene, "a0", spec, np.random.default_rng(2)) == []
+        assert _detect_block(*detector_inputs(scene), spec, np.random.default_rng(2)).shape == (0, 11)
 
     def test_extent_rectangle_excluded(self):
         scene = Scene(
@@ -267,64 +275,60 @@ class TestDetect:
             objects=(SceneObject("o0", Pose2(10.0, 60.0, 0.0), 4.0, 2.0),),
             extent=(140.0, 40.0),
         )
-        assert detect(scene, "a0", DetectorSpec(), np.random.default_rng(3)) == []
+        assert _detect_block(*detector_inputs(scene), DetectorSpec(), np.random.default_rng(3)).shape == (0, 11)
 
     def test_center_noise_statistics(self):
-        scene = one_object_scene()
+        inputs = detector_inputs(one_object_scene())
         spec = DetectorSpec(center_noise_sd=0.2, heading_noise_sd=0.0)
         rng = np.random.default_rng(105)
-        clean = detect(scene, "a0", DetectorSpec(center_noise_sd=0.0, heading_noise_sd=0.0), np.random.default_rng(0))[0]
-        errs = []
-        for _ in range(10_000):
-            box = detect(scene, "a0", spec, rng)[0]
-            errs.append(box.cx - clean.cx)
+        exact = DetectorSpec(center_noise_sd=0.0, heading_noise_sd=0.0)
+        clean = _detect_block(*inputs, exact, np.random.default_rng(0))
+        errs = [_detect_block(*inputs, spec, rng)[0, 0] - clean[0, 0] for _ in range(10_000)]
         assert np.std(errs) == pytest.approx(0.2, abs=0.01)
 
     def test_variance_calibration_unit(self):
         # Standardized residuals should have unit variance when calibration is 1.
-        scene = one_object_scene()
+        inputs = detector_inputs(one_object_scene())
         spec = DetectorSpec(center_noise_sd=0.3, heading_noise_sd=0.05, variance_calibration=1.0)
         rng = np.random.default_rng(106)
-        clean = detect(scene, "a0", DetectorSpec(center_noise_sd=0.0, heading_noise_sd=0.0), np.random.default_rng(0))[0]
+        exact = DetectorSpec(center_noise_sd=0.0, heading_noise_sd=0.0)
+        clean = _detect_block(*inputs, exact, np.random.default_rng(0))
         z = []
         for _ in range(10_000):
-            box = detect(scene, "a0", spec, rng)[0]
-            z.append((box.cx - clean.cx) / math.sqrt(box.var_x))
-            z.append((box.cy - clean.cy) / math.sqrt(box.var_y))
+            cx, cy, _, _, _, _, _, var_x, var_y, _, _ = _detect_block(*inputs, spec, rng)[0]
+            z.append((cx - clean[0, 0]) / math.sqrt(var_x))
+            z.append((cy - clean[0, 1]) / math.sqrt(var_y))
         assert np.var(z) == pytest.approx(1.0, abs=0.05)
 
     def test_reported_variance_scales_with_calibration(self):
-        scene = one_object_scene()
+        inputs = detector_inputs(one_object_scene())
         rng = np.random.default_rng(107)
-        box = detect(scene, "a0", DetectorSpec(center_noise_sd=0.2, variance_calibration=2.0), rng)[0]
-        assert box.var_x == pytest.approx(2.0 * 0.04, abs=1e-12)
+        block = _detect_block(*inputs, DetectorSpec(center_noise_sd=0.2, variance_calibration=2.0), rng)
+        assert block[0, 7] == pytest.approx(2.0 * 0.04, abs=1e-12)
 
     def test_variance_floor_applies_at_zero_noise(self):
-        scene = one_object_scene()
-        box = detect(scene, "a0", DetectorSpec(center_noise_sd=0.0, heading_noise_sd=0.0), np.random.default_rng(0))[0]
-        assert box.var_x > 0.0 and box.var_theta > 0.0
+        inputs = detector_inputs(one_object_scene())
+        spec = DetectorSpec(center_noise_sd=0.0, heading_noise_sd=0.0)
+        block = _detect_block(*inputs, spec, np.random.default_rng(0))
+        assert block[0, 7] > 0.0 and block[0, 9] > 0.0
 
     def test_confidence_decays_with_distance(self):
         near = one_object_scene(Pose2(5.0, -1.0, 0.0))
         far = one_object_scene(Pose2(100.0, 30.0, 0.0))
         spec = DetectorSpec(center_noise_sd=0.0, heading_noise_sd=0.0)
-        b_near = detect(near, "a0", spec, np.random.default_rng(0))[0]
-        b_far = detect(far, "a0", spec, np.random.default_rng(0))[0]
-        assert 0.0 <= b_far.confidence < b_near.confidence <= 1.0
+        c_near, c_far = (_detect_block(*detector_inputs(s), spec, np.random.default_rng(0))[0, 10] for s in (near, far))
+        assert 0.0 <= c_far < c_near <= 1.0
 
     def test_heteroscedastic_choices(self):
-        scene = one_object_scene()
+        inputs = detector_inputs(one_object_scene())
         spec = DetectorSpec(center_noise_sd=1.0, heading_noise_sd=0.25, noise_scale_choices=(0.1, 0.5))
         rng = np.random.default_rng(108)
-        seen = set()
-        for _ in range(200):
-            box = detect(scene, "a0", spec, rng)[0]
-            seen.add(round(box.var_x, 12))
+        seen = {round(float(_detect_block(*inputs, spec, rng)[0, 7]), 12) for _ in range(200)}
         assert seen == {round(0.1**2, 12), round(0.5**2, 12)}
 
     def test_unknown_agent_rejected(self):
         with pytest.raises(ValueError):
-            detect(one_object_scene(), "ghost", DetectorSpec(), np.random.default_rng(0))
+            one_object_scene().agent("ghost")
 
 
 class TestMakeMessages:
@@ -351,8 +355,8 @@ class TestMakeMessages:
         expected = corrupt_pose(agent.pose, noise, pose_rng)
         assert messages[1].measured_pose.as_tuple() == expected.as_tuple()
         det_rng = np.random.default_rng(derive_seed(77, agent.agent_id, "detect"))
-        expected_boxes = tuple(detect(scene, agent.agent_id, DetectorSpec(), det_rng))
-        assert messages[1].boxes == expected_boxes
+        block = _detect_block(_object_columns(scene), agent.pose, scene.extent, DetectorSpec(), det_rng)
+        assert messages[1] == AgentMessage(agent.agent_id, expected, block)
 
     def test_adding_agent_does_not_perturb_others(self):
         base_agents = (
@@ -382,12 +386,8 @@ DETECTOR_VARIANTS = [
 ]
 
 
-def box_block(boxes) -> bytes:
-    return np.array([b.as_vector() + [b.confidence] for b in boxes], dtype=float).reshape(-1, 11).tobytes()
-
-
 class TestMessagesMatchScalar:
-    """make_messages draws every random number that the per-object detect loop draws, in its order."""
+    """make_messages draws every random number that the per-object detector loop draws, in its order."""
 
     @staticmethod
     def assert_round_matches(scene, noise, det, seed):
@@ -397,7 +397,7 @@ class TestMessagesMatchScalar:
             pose_rng = np.random.default_rng(derive_seed(seed, agent.agent_id, "pose"))
             det_rng = np.random.default_rng(derive_seed(seed, agent.agent_id, "detect"))
             assert msg.measured_pose.as_tuple() == corrupt_pose(agent.pose, noise, pose_rng).as_tuple()
-            assert msg.block.tobytes() == box_block(scalar_detect(scene, agent.agent_id, det, det_rng))
+            assert msg.block.tobytes() == box_block(scalar_detect(scene, agent.agent_id, det, det_rng)).tobytes()
         return messages
 
     @pytest.mark.parametrize("variant", range(len(DETECTOR_VARIANTS)))
@@ -442,9 +442,12 @@ class TestMessagesMatchScalar:
     def test_detect_is_the_view_of_the_block(self):
         scene = generate_scene(3, 20, area=(150.0, 150.0), seed=4)
         det = DETECTOR_VARIANTS[2][0]
+        objects = _object_columns(scene)
         for agent in scene.agents:
             rng_a, rng_b = (np.random.default_rng(derive_seed(4, agent.agent_id, "detect")) for _ in range(2))
-            assert detect(scene, agent.agent_id, det, rng_a) == scalar_detect(scene, agent.agent_id, det, rng_b)
+            msg = AgentMessage(agent.agent_id, agent.pose, _detect_block(objects, agent.pose, scene.extent, det, rng_a))
+            rows = scalar_detect(scene, agent.agent_id, det, rng_b)
+            assert msg.boxes == tuple(BoxDetection(*row, agent_id=agent.agent_id) for row in rows)
 
     def test_extent_and_range_boundaries_are_inside(self):
         objects = tuple(
@@ -453,9 +456,9 @@ class TestMessagesMatchScalar:
         )
         scene = Scene(agents=(SceneAgent("a0", Pose2.identity()),), objects=objects, extent=(140.0, 130.0))
         spec = DetectorSpec(detection_range=150.0)
-        boxes = detect(scene, "a0", spec, np.random.default_rng(0))
-        assert boxes == scalar_detect(scene, "a0", spec, np.random.default_rng(0))
-        assert len(boxes) == 3
+        block = _detect_block(*detector_inputs(scene), spec, np.random.default_rng(0))
+        assert block.tobytes() == box_block(scalar_detect(scene, "a0", spec, np.random.default_rng(0))).tobytes()
+        assert len(block) == 3
 
     def test_no_objects(self):
         messages = make_messages(generate_scene(2, 0, seed=1), NoiseSpec(), DetectorSpec(), seed=1)
@@ -502,11 +505,10 @@ class TestMessageValidation:
         with pytest.raises(ValueError, match="confidence must be in"):
             AgentMessage("a0", Pose2.identity(), np.array([GOOD_ROW, early, late]))
 
-    def test_block_shape_and_agent_ids_checked(self):
-        with pytest.raises(ValueError, match="block must be"):
-            AgentMessage("a0", Pose2.identity(), np.zeros((2, 10)))
-        with pytest.raises(ValueError, match="box_agent_ids"):
-            AgentMessage("a0", Pose2.identity(), np.array([GOOD_ROW]), ("a0", "a1"))
+    def test_block_shape_checked(self):
+        for block in (np.zeros((2, 10)), np.array([GOOD_ROW], dtype=object), [GOOD_ROW], (BoxDetection(*GOOD_ROW),)):
+            with pytest.raises(ValueError, match="block must be"):
+                AgentMessage("a0", Pose2.identity(), block)
 
     def test_block_is_read_only_and_headings_wrapped(self):
         row = list(GOOD_ROW)
@@ -516,17 +518,20 @@ class TestMessageValidation:
         with pytest.raises(ValueError):
             msg.block[0, 0] = 1.0
 
-    def test_boxes_and_block_give_equal_messages(self):
+    def test_boxes_are_the_senders_view_of_the_block(self):
         scene = generate_scene(3, 8, seed=5)
         for msg in make_messages(scene, NoiseSpec(trans_scale=0.2), DetectorSpec(), seed=5):
-            again = AgentMessage(msg.agent_id, msg.measured_pose, msg.boxes)
+            assert msg.boxes == tuple(BoxDetection(*row, agent_id=msg.agent_id) for row in msg.block.tolist())
+            again = AgentMessage(msg.agent_id, msg.measured_pose, msg.block)
             assert again == msg and again.boxes == msg.boxes
             assert msg.boxes is msg.boxes
 
     def test_wire_round_trip_is_byte_for_byte(self):
         scene = generate_scene(4, 30, area=(150.0, 150.0), seed=6)
         for det, noise in DETECTOR_VARIANTS:
-            text = json.dumps(messages_to_dict(make_messages(scene, noise, det, seed=6)), sort_keys=True)
+            messages = make_messages(scene, noise, det, seed=6)
+            assert messages_from_dict(messages_to_dict(messages)) == messages
+            text = json.dumps(messages_to_dict(messages), sort_keys=True)
             again = json.dumps(messages_to_dict(messages_from_dict(json.loads(text))), sort_keys=True)
             assert again == text
 

@@ -9,10 +9,10 @@ import pytest
 
 from agentpose.geometry import Pose2, compose
 from agentpose.oracles import i0_fraction, i1_fraction, log_fraction
+from agentpose.scenario import _box_row
 from agentpose.uncertainty import (
     BoxDetection,
     bessel_i1_over_i0,
-    box_from_vector,
     elu_regularizer,
     gaussian_center_loss,
     information_matrix,
@@ -219,11 +219,12 @@ class TestBoxDetection:
         assert make_box(theta=3 * math.pi).theta == pytest.approx(math.pi)
 
     def test_vector_roundtrip(self):
+        # The wire format's box vector is the box's fields in block order, then the confidence.
         box = make_box()
-        vec = box.as_vector()
-        assert vec == [1.0, 2.0, 0.0, 4.0, 2.0, 1.6, 0.3, 0.04, 0.04, 0.01]
-        back = box_from_vector(vec, box.confidence, box.agent_id)
-        assert back == box
+        row = _box_row([1.0, 2.0, 0.0, 4.0, 2.0, 1.6, 0.3, 0.04, 0.04, 0.01], box.confidence)
+        assert BoxDetection(*row, agent_id=box.agent_id) == box
+        with pytest.raises(ValueError, match="10 fields"):
+            _box_row(row, box.confidence)
 
     def test_transform_box_matches_pose_compose(self):
         box = make_box()
