@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import (
-    OrientedBox2, Pose2, compose, compose_columns, footprint_iou, footprints, inverse, overlap_pairs, wrap_angles,
+    OrientedBox2, Pose2, compose, compose_columns, footprint_iou, footprints, inverse, inverse_columns, overlap_pairs,
 )
 from .posegraph import (
     DEFAULT_CLUSTER_GAP,
@@ -42,6 +42,7 @@ from .scenario import (
     derive_seed,
     generate_scene,
     make_messages,
+    positive_pair,
 )
 # rotated_iou_bev and transform_box stay bound though unused: both are names in
 # perfbench/tracing.py's INTERCEPTED table, which rebinds them in this module.
@@ -88,7 +89,7 @@ def _fuse_rows(messages, rel_poses, nms_iou: float) -> tuple[np.ndarray, list[st
     # Candidates in rank order, lifted into the ego frame.
     cand = block[ranked]
     cand[:, 0], cand[:, 1], cand[:, 6] = compose_columns(
-        [rel_poses[m.agent_id] for m in ordered], owner[ranked], cand[:, 0], cand[:, 1], cand[:, 6]
+        [rel_poses[m.agent_id].as_tuple() for m in ordered], owner[ranked], cand[:, 0], cand[:, 1], cand[:, 6]
     )
     first, second = overlap_pairs(cand[:, 0], cand[:, 1], 0.5 * np.hypot(cand[:, 3], cand[:, 4]))
     # Candidates are indexed by rank, so each pair's first end outranks its second.
@@ -224,10 +225,7 @@ class BenchmarkConfig:
         if not 0.0 <= self.min_object_gap < math.inf:
             raise ValueError("min_object_gap must be finite and >= 0")
         for name in ("area", "extent"):
-            pair = tuple(float(v) for v in getattr(self, name))
-            if len(pair) != 2 or not all(0.0 < v < math.inf for v in pair):
-                raise ValueError(f"{name} must be two positive finite values")
-            object.__setattr__(self, name, pair)
+            object.__setattr__(self, name, positive_pair(getattr(self, name), name))
         object.__setattr__(self, "noise_grid", tuple((float(t), float(r)) for t, r in self.noise_grid))
         object.__setattr__(self, "ap_thresholds", tuple(float(t) for t in self.ap_thresholds))
         if not self.noise_grid:
@@ -318,29 +316,27 @@ class BenchmarkResult:
 def _ground_truth_columns(scene: Scene, ego_id: str) -> np.ndarray:
     """The scene's objects in the ego frame as (n, 5) columns cx, cy, length, width, heading."""
     obj = _object_columns(scene)
-    x, y, theta = compose_columns([inverse(scene.agent(ego_id).pose)], np.zeros(len(obj), dtype=np.intp), *obj[:, :3].T)
+    frame = inverse_columns(scene.agent(ego_id).pose.as_tuple())
+    x, y, theta = compose_columns(frame, np.zeros(len(obj), dtype=np.intp), *obj[:, :3].T)
     return np.stack((x, y, obj[:, 3], obj[:, 4], theta), axis=1)
 
 
-def _pair_errors(est: Mapping[str, Pose2], truth: Mapping[str, Pose2]) -> list[tuple[float, float]]:
-    """relative_pose_error of every ordered pair (i, j), i != j, in sorted-id order, bit for bit:
-    the error pose compose(inverse(t), e) runs in the scalar operand order."""
+def _pair_errors(truth: Mapping[str, Pose2], *estimates: Mapping[str, Pose2]) -> list[list[tuple[float, float]]]:
+    """Per estimate set, relative_pose_error of every ordered pair (i, j), i != j, in sorted-id order, bit for bit:
+    relative poses t of the truth and e of every set from one compose_columns call, then compose(inverse(t), e)."""
     ids = sorted(truth)
-    n = len(ids)
-    poses = [est[a] for a in ids] + [truth[a] for a in ids]
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
-    cols = np.array([p.as_tuple() for p in poses], dtype=float).reshape(-1, 3)[np.concatenate((j, j + n))]
-    x, y, theta = compose_columns([inverse(p) for p in poses], np.concatenate((i, i + n)), *cols.T)
-    (ex, tx), (ey, ty), (et, tt) = ((v[: len(i)], v[len(i) :]) for v in (x, y, theta))
-    c, s = np.array([(math.cos(v), math.sin(v)) for v in tt.tolist()], dtype=float).reshape(-1, 2).T
-    ix, iy, it = -(c * tx + s * ty), -(-s * tx + c * ty), wrap_angles(-tt)
-    c, s = np.array([(math.cos(v), math.sin(v)) for v in it.tolist()], dtype=float).reshape(-1, 2).T
-    dx, dy, dt = ix + c * ex - s * ey, iy + s * ex + c * ey, wrap_angles(it + et)
-    same = (ex == tx) & (ey == ty) & (et == tt)
-    return [
+    n, m, k = len(ids), len(ids) * (len(ids) - 1), len(estimates)
+    poses = np.array([p[a].as_tuple() for p in (truth, *estimates) for a in ids], dtype=float).reshape(-1, 3)
+    i, j = (n * np.arange(k + 1)[:, None] + v for v in np.nonzero(~np.eye(n, dtype=bool)))
+    rel = np.stack(compose_columns(inverse_columns(poses), i.ravel(), *poses[j.ravel()].T), axis=1)
+    t, e = rel[:m], rel[m:]
+    dx, dy, dt = compose_columns(inverse_columns(t), np.tile(np.arange(m), k), *e.T)
+    same = (e == np.tile(t, (k, 1))).all(axis=1)
+    errors = [
         (0.0, 0.0) if eq else (math.hypot(ux, uy), abs(math.degrees(ut)))
         for eq, ux, uy, ut in zip(same.tolist(), dx.tolist(), dy.tolist(), dt.tolist())
     ]
+    return [errors[s * m : (s + 1) * m] for s in range(k)]
 
 
 # The solver-contract counters: each counts the solves of one graph that break
@@ -382,11 +378,7 @@ def _run_scene(config: BenchmarkConfig, level: int, scene_idx: int) -> dict:
 
     truth = {a.agent_id: a.pose for a in scene.agents}
     measured = {m.agent_id: m.measured_pose for m in messages}
-    errors = {
-        SERIES_BEFORE: _pair_errors(measured, truth),
-        SERIES_AFTER_GRAPH: _pair_errors(result_i.agent_poses, truth),
-        SERIES_AFTER_WEIGHTED: _pair_errors(result_w.agent_poses, truth),
-    }
+    errors = dict(zip(SERIES_ORDER, _pair_errors(truth, measured, result_i.agent_poses, result_w.agent_poses)))
 
     gt = _ground_truth_columns(scene, ego_id)
     ap: dict[str, dict[str, float]] = {f"{thr:g}": {} for thr in config.ap_thresholds}

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -78,18 +77,23 @@ def compose(a: Pose2, b: Pose2) -> Pose2:
     )
 
 
+def _cos_sin(theta: np.ndarray) -> np.ndarray:
+    """math.cos and math.sin of every angle as (n, 2) rows, the bits the scalar pose algebra uses."""
+    return np.array([(math.cos(t), math.sin(t)) for t in theta.tolist()], dtype=float).reshape(-1, 2)
+
+
 def compose_columns(
-    frames: Sequence[Pose2], owner: np.ndarray, x: np.ndarray, y: np.ndarray, theta: np.ndarray
+    frames: np.ndarray, owner: np.ndarray, x: np.ndarray, y: np.ndarray, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """compose(frames[owner[i]], Pose2(x[i], y[i], theta[i])) for every i, as three columns.
 
-    Each frame's cosine and sine come from math.cos and math.sin once, and the
-    products and sums run in compose's order, so every entry has the bits of
-    the scalar compose. Raises ValueError, as Pose2 does, if a translation is
-    not finite.
+    frames holds (x, y, theta) rows, headings wrapped. Each frame's cosine and
+    sine come from math.cos and math.sin once, and the products and sums run
+    in compose's order, so every entry has the bits of the scalar compose.
+    Raises ValueError, as Pose2 does, if a translation is not finite.
     """
     fx, fy, ft, c, s = np.array(
-        [(f.x, f.y, f.theta, math.cos(f.theta), math.sin(f.theta)) for f in frames], dtype=float
+        [(x0, y0, t0, math.cos(t0), math.sin(t0)) for x0, y0, t0 in np.reshape(frames, (-1, 3)).tolist()], dtype=float
     ).reshape(-1, 5)[owner].T
     with np.errstate(over="ignore", invalid="ignore"):  # reported as the ValueError below
         gx = fx + c * x - s * y
@@ -104,6 +108,17 @@ def inverse(p: Pose2) -> Pose2:
     c = math.cos(p.theta)
     s = math.sin(p.theta)
     return Pose2(-(c * p.x + s * p.y), -(-s * p.x + c * p.y), -p.theta)
+
+
+def inverse_columns(poses: np.ndarray) -> np.ndarray:
+    """inverse of every (x, y, theta) row of an (n, 3) array as (n, 3) rows, bit for bit; raises as compose_columns."""
+    x, y, theta = np.asarray(poses, dtype=float).reshape(-1, 3).T
+    c, s = _cos_sin(theta).T
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as the ValueError below
+        out = np.stack((-(c * x + s * y), -(-s * x + c * y), wrap_angles(-theta)), axis=1)
+    if not np.isfinite(out[:, :2]).all():
+        raise ValueError("pose translation must be finite")
+    return out
 
 
 @dataclass(frozen=True)

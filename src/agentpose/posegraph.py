@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Pose2, close_pairs, compose, compose_columns, inverse, wrap_angles
+from .geometry import Pose2, _cos_sin, close_pairs, compose, compose_columns, inverse, wrap_angles
 # information_matrix and transform_box are not called here; both stay bound as names
 # in perfbench/tracing.py's INTERCEPTED table, which rebinds them in this module.
 from .uncertainty import BoxDetection, information_matrix, transform_box  # noqa: F401
@@ -26,6 +26,11 @@ DEFAULT_CLUSTER_GAP = 2.0
 BOX_WIDTH = 11
 # Pose2 is frozen, so every relative_poses result can share one ego identity.
 _IDENTITY = Pose2.identity()
+
+
+def _bitwise_key(obj) -> tuple:
+    """Field values, arrays as bytes (their dtype and row width are fixed): equal keys mean fields equal bit for bit."""
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in (getattr(obj, f.name) for f in fields(obj)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,11 +68,8 @@ class AgentMessage:
         block.flags.writeable = False
         object.__setattr__(self, "block", block)
 
-    def _key(self) -> tuple:
-        return (self.agent_id, self.measured_pose, self.block.tobytes())
-
     def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if isinstance(other, AgentMessage) else NotImplemented
+        return _bitwise_key(self) == _bitwise_key(other) if isinstance(other, AgentMessage) else NotImplemented
 
     @cached_property
     def boxes(self) -> tuple[BoxDetection, ...]:
@@ -96,16 +98,17 @@ class GraphEdge:
 class PoseGraph:
     """Bipartite agent-object graph; exactly one agent (the ego) is gauge-fixed.
 
-    Each edge is one row of three aligned read-only columns: edge_nodes (m, 2)
-    holds its agent and object index, measurements (m, 3) the local box pose
-    (x, y, theta), its heading wrapped as normalize_angle does, and info (m, 3)
-    the diagonal information weight. Equality compares the columns bit for bit.
+    Agents are named Pose2s; objects and edges are read-only columns:
+    object_poses (n_o, 3) the global (x, y, theta) of each object, and per edge
+    edge_nodes (m, 2) its agent and object index, measurements (m, 3) its local
+    box pose and info (m, 3) its diagonal information weight. Poses are finite,
+    headings wrapped as normalize_angle does. Equality compares bit for bit.
     """
 
     agent_ids: tuple[str, ...]
     agent_poses: tuple[Pose2, ...]
     ego_index: int
-    object_poses: tuple[Pose2, ...]
+    object_poses: np.ndarray
     edge_nodes: np.ndarray
     measurements: np.ndarray
     info: np.ndarray
@@ -113,7 +116,6 @@ class PoseGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "agent_ids", tuple(self.agent_ids))
         object.__setattr__(self, "agent_poses", tuple(self.agent_poses))
-        object.__setattr__(self, "object_poses", tuple(self.object_poses))
         n_a = len(self.agent_ids)
         if len(self.agent_poses) != n_a:
             raise ValueError("agent_ids and agent_poses must align")
@@ -121,29 +123,28 @@ class PoseGraph:
             raise ValueError("agent ids must be unique")
         if not 0 <= self.ego_index < n_a:
             raise ValueError(f"ego_index {self.ego_index} out of range for {n_a} agents")
-        m = len(self.edge_nodes)
-        for name, width, dtype in (("edge_nodes", 2, np.intp), ("measurements", 3, float), ("info", 3, float)):
+        n_o, m = len(self.object_poses), len(self.edge_nodes)
+        columns = (("object_poses", n_o, 3, float), ("edge_nodes", m, 2, np.intp),
+                   ("measurements", m, 3, float), ("info", m, 3, float))
+        for name, rows, width, dtype in columns:
             col = np.asarray(getattr(self, name))
-            if col.shape != (m, width) or not np.can_cast(col.dtype, dtype, "same_kind"):
-                raise ValueError(f"{name} must be ({m}, {width}) {np.dtype(dtype)}, got {col.dtype} {col.shape}")
+            if col.shape != (rows, width) or not np.can_cast(col.dtype, dtype, "same_kind"):
+                raise ValueError(f"{name} must be ({rows}, {width}) {np.dtype(dtype)}, got {col.dtype} {col.shape}")
             object.__setattr__(self, name, col.astype(dtype))
-        if not np.all((0 <= self.edge_nodes) & (self.edge_nodes < (n_a, len(self.object_poses)))):
+        if not np.all((0 <= self.edge_nodes) & (self.edge_nodes < (n_a, n_o))):
             raise ValueError("edge agent or object index out of range")
-        if np.any(np.bincount(self.edge_nodes[:, 1], minlength=len(self.object_poses)) < 2):
+        if np.any(np.bincount(self.edge_nodes[:, 1], minlength=n_o) < 2):
             raise ValueError("every object node must have degree >= 2")
-        if not (np.all(np.isfinite(self.measurements)) and np.all((self.info > 0.0) & np.isfinite(self.info))):
-            raise ValueError("edge measurements must be finite and information weights positive and finite")
-        self.measurements[:, 2] = wrap_angles(self.measurements[:, 2])
-        for col in (self.edge_nodes, self.measurements, self.info):
-            col.flags.writeable = False
-
-    def _key(self) -> tuple:
-        # Equal bytes of the fixed-dtype columns mean equal shapes too.
-        return (self.agent_ids, self.agent_poses, self.ego_index, self.object_poses,
-                self.edge_nodes.tobytes(), self.measurements.tobytes(), self.info.tobytes())
+        if not (np.isfinite(self.object_poses).all() and np.isfinite(self.measurements).all()
+                and ((self.info > 0.0) & np.isfinite(self.info)).all()):
+            raise ValueError("poses must be finite and information weights positive and finite")
+        for col in (self.object_poses, self.measurements):
+            col[:, 2] = wrap_angles(col[:, 2])
+        for name, *_ in columns:
+            getattr(self, name).flags.writeable = False
 
     def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if isinstance(other, PoseGraph) else NotImplemented
+        return _bitwise_key(self) == _bitwise_key(other) if isinstance(other, PoseGraph) else NotImplemented
 
     @property
     def ego_id(self) -> str:
@@ -180,7 +181,7 @@ class SolverParams:
             raise ValueError("tolerances must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """Solved poses and why the solve stopped.
 
@@ -189,17 +190,21 @@ class SolveResult:
     convergence_tol), "no_step_accepted" (the damping hit its cap, or the
     linear model predicts a gain below convergence_tol) and "max_iterations".
     converged is true for all but "max_iterations". rejected_steps counts the
-    trial steps not accepted.
+    trial steps not accepted. object_poses is read-only, in graph order, and
+    equality compares it bit for bit.
     """
 
     agent_poses: dict[str, Pose2]
-    object_poses: tuple[Pose2, ...]
+    object_poses: np.ndarray
     objective: float
     iterations: int
     converged: bool
     objective_trace: tuple[float, ...]
     termination: str
     rejected_steps: int
+
+    def __eq__(self, other: object) -> bool:
+        return _bitwise_key(self) == _bitwise_key(other) if isinstance(other, SolveResult) else NotImplemented
 
 
 def _components(xs: np.ndarray, ys: np.ndarray, gap2: float) -> np.ndarray:
@@ -270,26 +275,20 @@ def _cluster_labels(
 
 def _seed_poses(
     gx: np.ndarray, gy: np.ndarray, gt: np.ndarray, w: np.ndarray, obj: np.ndarray, n_objects: int
-) -> list[Pose2]:
-    """Initial object poses from lifted member boxes, object obj[i] for box i.
+) -> np.ndarray:
+    """Initial object poses from lifted member boxes, object obj[i] for box i, as (n_objects, 3) rows.
 
     Each center coordinate is the inverse-variance weighted mean of the
-    members' global centers; the heading is the circular mean of the global
-    headings weighted by inverse heading variance. w holds the inverse
-    variance columns. The sums run over the boxes in the given order.
+    members' global centers; the heading is math.atan2 of the circular mean
+    of the global headings weighted by inverse heading variance. w holds the
+    inverse variance columns. The sums run over the boxes in the given order.
     """
-    sums = [
-        np.bincount(obj, weights, n_objects).tolist()
-        for weights in (
-            w[:, 0] * gx,
-            w[:, 0],
-            w[:, 1] * gy,
-            w[:, 1],
-            w[:, 2] * np.array([math.sin(t) for t in gt.tolist()]),
-            w[:, 2] * np.array([math.cos(t) for t in gt.tolist()]),
-        )
-    ]
-    return [Pose2(sx / swx, sy / swy, math.atan2(ss, sc)) for sx, swx, sy, swy, ss, sc in zip(*sums)]
+    c, s = _cos_sin(gt).T
+    sx, swx, sy, swy, ss, sc = (
+        np.bincount(obj, weights, n_objects)
+        for weights in (w[:, 0] * gx, w[:, 0], w[:, 1] * gy, w[:, 1], w[:, 2] * s, w[:, 2] * c)
+    )
+    return np.stack((sx / swx, sy / swy, [math.atan2(u, v) for u, v in zip(ss.tolist(), sc.tolist())]), axis=1)
 
 
 def build_pose_graph(
@@ -316,7 +315,7 @@ def build_pose_graph(
     block, owner = box_columns(ordered)
     # cx, cy, theta, var_x, var_y, var_theta, confidence
     cols = block[:, [0, 1, 6, 7, 8, 9, 10]]
-    gx, gy, gt = compose_columns([m.measured_pose for m in ordered], owner, cols[:, 0], cols[:, 1], cols[:, 2])
+    gx, gy, gt = compose_columns([m.measured_pose.as_tuple() for m in ordered], owner, *cols[:, :3].T)
     labels = _cluster_labels(gx, gy, owner, cols[:, 6], center_gap)
 
     # Object nodes are the clusters of two or more boxes, in cluster order;
@@ -326,14 +325,12 @@ def build_pose_graph(
     member = member[np.argsort(labels[member], kind="stable")]
     obj = (np.cumsum(is_object) - 1)[labels[member]]
     w = 1.0 / cols[member, 3:6]
-    object_poses = _seed_poses(gx[member], gy[member], gt[member], w, obj, int(is_object.sum()))
-
     agent_ids = tuple(m.agent_id for m in ordered)
     return PoseGraph(
         agent_ids=agent_ids,
         agent_poses=tuple(m.measured_pose for m in ordered),
         ego_index=agent_ids.index(ego_id),
-        object_poses=tuple(object_poses),
+        object_poses=_seed_poses(gx[member], gy[member], gt[member], w, obj, int(is_object.sum())),
         edge_nodes=np.stack((owner[member], obj), axis=1),
         measurements=cols[member, :3],
         info=w,
@@ -369,9 +366,8 @@ class _Problem:
         self.free_nodes = np.array([i for i in range(self.n_nodes) if i != self.ego], dtype=int)
         self.n_free = 3 * len(self.free_nodes)
         self.n_free_agents = 3 * (n_a - 1)
-        self.p0 = np.array([p.as_tuple() for p in graph.agent_poses + graph.object_poses], dtype=float)
-        m = len(graph.measurements)
-        self.m = m
+        self.p0 = np.concatenate((np.array([p.as_tuple() for p in graph.agent_poses], dtype=float), graph.object_poses))
+        self.m = m = len(graph.measurements)
         self.ai = graph.edge_nodes[:, 0]
         self.oi = n_a + graph.edge_nodes[:, 1]
         self.zx, self.zy, self.zt = np.ascontiguousarray(graph.measurements.T)
@@ -471,10 +467,6 @@ class _Problem:
         e, r = self.evaluate(poses)
         buf = self._fill(poses, e, r)
         return r.ravel(), np.concatenate((buf[:, :, 1:4], -buf[:, :, 1:3], -buf[:, :, :1]), axis=2)
-
-    def residuals(self, poses: np.ndarray) -> np.ndarray:
-        """Weighted residuals, flat (3m,)."""
-        return self.evaluate(poses)[1].ravel()
 
     def apply_step(self, poses: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """Poses moved by the free-state step; the ego's row is copied, and its
@@ -594,13 +586,14 @@ def optimize(graph: PoseGraph, params: SolverParams = SolverParams()) -> SolveRe
                 termination = "decrease_tol"
                 break
 
-    rows = poses.tolist()
+    poses.flags.writeable = False
+    rows = poses[: prob.n_agents].tolist()
     agent_poses = {
         aid: graph.agent_poses[i] if i == prob.ego else Pose2(*rows[i]) for i, aid in enumerate(graph.agent_ids)
     }
     return SolveResult(
         agent_poses=agent_poses,
-        object_poses=tuple(Pose2(*row) for row in rows[prob.n_agents :]),
+        object_poses=poses[prob.n_agents :],
         objective=objective,
         iterations=iterations,
         converged=termination != "max_iterations",

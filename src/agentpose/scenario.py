@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Pose2, compose_columns, inverse
+from .geometry import Pose2, compose_columns, inverse_columns
 from .posegraph import BOX_WIDTH, AgentMessage
 
 # Reported variances are floored so zero-noise runs still produce valid
@@ -38,6 +38,14 @@ def derive_seed(*parts) -> int:
 
 class ScenarioError(RuntimeError):
     """Raised when a scene cannot be realized, e.g. infeasible object packing."""
+
+
+def positive_pair(value, name: str) -> tuple[float, float]:
+    """value as a pair of floats; ValueError unless it holds exactly two positive finite values."""
+    pair = tuple(float(v) for v in value)
+    if len(pair) != 2 or not all(0.0 < v < math.inf for v in pair):
+        raise ValueError(f"{name} must be two positive finite values")
+    return pair
 
 
 @dataclass(frozen=True)
@@ -69,14 +77,12 @@ class Scene:
     def __post_init__(self) -> None:
         object.__setattr__(self, "agents", tuple(self.agents))
         object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "extent", (float(self.extent[0]), float(self.extent[1])))
+        object.__setattr__(self, "extent", positive_pair(self.extent, "extent"))
         if not self.agents:
             raise ValueError("scene needs at least one agent")
         ids = [a.agent_id for a in self.agents] + [o.object_id for o in self.objects]
         if len(set(ids)) != len(ids):
             raise ValueError("agent and object ids must be unique")
-        if not all(0.0 < v < math.inf for v in self.extent):
-            raise ValueError(f"extent must be two positive finite values, got {self.extent!r}")
 
     def agent(self, agent_id: str) -> SceneAgent:
         for a in self.agents:
@@ -164,15 +170,13 @@ def generate_scene(
         raise ValueError("need at least one agent")
     if num_objects < 0:
         raise ValueError("num_objects must be >= 0")
-    if not all(0.0 < float(v) < math.inf for v in area):
-        raise ValueError(f"area must be two positive finite values, got {area!r}")
+    hx, hy = (0.5 * side for side in positive_pair(area, "area"))
     if not 0.0 <= min_object_gap < math.inf:
         raise ValueError(f"min_object_gap must be finite and >= 0, got {min_object_gap!r}")
     # Each rng.uniform(lo, hi) of the placement is written as the bare draw
     # lo + (hi - lo) * rng.random(), which is the same number from the same
     # stream (pinned in tests/test_scenario.py).
     rnd = np.random.default_rng(derive_seed(seed, "scene-gen")).random
-    hx, hy = 0.5 * float(area[0]), 0.5 * float(area[1])
     wx, wy, wt = hx - -hx, hy - -hy, math.pi - -math.pi
 
     agents = tuple(
@@ -258,9 +262,8 @@ def _detect_block(
     bit (pinned in tests/test_scenario.py), and the confidence clamp keeps a
     -0.0, as the scalar max(c, 0.0) does.
     """
-    lx, ly, lt = compose_columns(
-        [inverse(agent_pose)], np.zeros(len(objects), dtype=np.intp), objects[:, 0], objects[:, 1], objects[:, 2]
-    )
+    frame = inverse_columns(agent_pose.as_tuple())
+    lx, ly, lt = compose_columns(frame, np.zeros(len(objects), dtype=np.intp), *objects[:, :3].T)
     inside = np.flatnonzero((np.abs(lx) <= extent[0]) & (np.abs(ly) <= extent[1]))
     rnd, normal, choices = rng.random, rng.standard_normal, spec.noise_scale_choices
     kept: list[int] = []
@@ -330,10 +333,6 @@ def make_messages(
 #                                     "confidence": c}, ...]}, ...]}
 
 
-def _pose_to_list(p: Pose2) -> list[float]:
-    return [p.x, p.y, p.theta]
-
-
 def _pose_from_list(v, where: str) -> Pose2:
     if not isinstance(v, (list, tuple)) or len(v) != 3:
         raise ValueError(f"{where}: pose must be [x, y, theta]")
@@ -345,9 +344,9 @@ def scene_to_dict(scene: Scene) -> dict:
         "type": "scene",
         "version": 1,
         "extent": [scene.extent[0], scene.extent[1]],
-        "agents": [{"id": a.agent_id, "pose": _pose_to_list(a.pose)} for a in scene.agents],
+        "agents": [{"id": a.agent_id, "pose": list(a.pose.as_tuple())} for a in scene.agents],
         "objects": [
-            {"id": o.object_id, "pose": _pose_to_list(o.pose), "length": o.length, "width": o.width}
+            {"id": o.object_id, "pose": list(o.pose.as_tuple()), "length": o.length, "width": o.width}
             for o in scene.objects
         ],
     }
@@ -390,7 +389,7 @@ def messages_to_dict(messages: Sequence[AgentMessage]) -> dict:
         "messages": [
             {
                 "agent_id": m.agent_id,
-                "measured_pose": _pose_to_list(m.measured_pose),
+                "measured_pose": list(m.measured_pose.as_tuple()),
                 "boxes": [{"b": row[:10], "confidence": row[10]} for row in m.block.tolist()],
             }
             for m in messages

@@ -46,8 +46,8 @@ def _check_consistency(rng) -> tuple[str, bool, str]:
     k = np.arange(n)
     edges = np.stack((np.tile(k, 2), np.concatenate((k, (k + 1) % n))), axis=1)
     z, poses = (np.array([_random_pose(rng, 20).as_tuple() for _ in range(2 * n)]) for _ in range(2))
-    nodes = (Pose2.identity(),) * n
-    e, _ = _Problem(PoseGraph(tuple(map(str, k)), nodes, 0, nodes, edges, z, np.ones((2 * n, 3)))).evaluate(poses)
+    graph = PoseGraph(tuple(map(str, k)), (Pose2.identity(),) * n, 0, np.zeros((n, 3)), edges, z, np.ones((2 * n, 3)))
+    e, _ = _Problem(graph).evaluate(poses)
     worst = max(
         _pose_gap(Pose2(*e[i]), consistency_oracle(z[i], poses[a], poses[n + o])) for i, (a, o) in enumerate(edges)
     )

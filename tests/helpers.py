@@ -25,14 +25,14 @@ def box_block(rows) -> np.ndarray:
 
 
 def graph_from_edges(agent_ids, agent_poses, ego_index, object_poses, edges) -> PoseGraph:
-    """PoseGraph from edges given one at a time as
+    """PoseGraph from object Pose2s and from edges given one at a time as
     (agent index, object index, measurement Pose2, (w_x, w_y, w_theta))."""
     edges = list(edges)
     return PoseGraph(
         agent_ids=tuple(agent_ids),
         agent_poses=tuple(agent_poses),
         ego_index=ego_index,
-        object_poses=tuple(object_poses),
+        object_poses=np.array([p.as_tuple() for p in object_poses], dtype=float).reshape(-1, 3),
         edge_nodes=np.array([(a, o) for a, o, _, _ in edges], dtype=np.intp).reshape(-1, 2),
         measurements=np.array([z.as_tuple() for _, _, z, _ in edges], dtype=float).reshape(-1, 3),
         info=np.array([w for _, _, _, w in edges], dtype=float).reshape(-1, 3),
@@ -101,7 +101,7 @@ def independent_solver_objective(graph: PoseGraph) -> float:
     """Final objective from scipy's generic least-squares on a matrix-built residual."""
     free_nodes = [i for i in range(len(graph.agent_ids) + len(graph.object_poses)) if i != graph.ego_index]
     agent_poses = [p.as_tuple() for p in graph.agent_poses]
-    object_poses = [p.as_tuple() for p in graph.object_poses]
+    object_poses = [tuple(p) for p in graph.object_poses.tolist()]
     edges = [(e.agent_index, e.object_index, e.measurement.as_tuple(), e.info) for e in graph.edges]
 
     def fun(state):

@@ -219,7 +219,7 @@ class TestCriterion5GradientSuite:
                     plus[node, c] += h
                     minus = poses.copy()
                     minus[node, c] -= h
-                    fd = (prob.residuals(plus) - prob.residuals(minus)) / (2 * h)
+                    fd = (prob.evaluate(plus)[1].ravel() - prob.evaluate(minus)[1].ravel()) / (2 * h)
                     col = jac[:, 3 * rank + c]
                     err = np.abs(col - fd) / np.maximum(1.0, np.maximum(np.abs(col), np.abs(fd)))
                     worst = max(worst, float(err.max()))

@@ -71,7 +71,8 @@ class TestPairErrorsMatchScalar:
 
     @staticmethod
     def assert_matches(est, truth):
-        got, want = _pair_errors(est, truth), scalar_pair_errors(est, truth)
+        (got,) = _pair_errors(truth, est)
+        want = scalar_pair_errors(est, truth)
         assert len(got) == len(want) == len(truth) * (len(truth) - 1)
         assert [struct.pack("<2d", *e) for e in got] == [struct.pack("<2d", *e) for e in want]
         return got
@@ -104,7 +105,17 @@ class TestPairErrorsMatchScalar:
                 self.assert_matches(truth, est)
 
     def test_one_agent_has_no_pairs(self):
-        assert _pair_errors({"a0": Pose2(1.0, 2.0, 0.3)}, {"a0": Pose2.identity()}) == []
+        assert _pair_errors({"a0": Pose2.identity()}, {"a0": Pose2(1.0, 2.0, 0.3)}) == [[]]
+
+    def test_estimate_sets_in_one_call_match_one_call_each(self):
+        rng = np.random.default_rng(122)
+        truth = {f"agent{k}": Pose2(*rng.uniform(-60, 60, 2), rng.uniform(-math.pi, math.pi)) for k in range(5)}
+        sets = [
+            {a: Pose2(*(np.array(p.as_tuple()) + rng.normal(0, (0.5, 0.5, 0.02)))) for a, p in truth.items()}
+            for _ in range(3)
+        ] + [dict(truth)]
+        assert _pair_errors(truth, *sets) == [_pair_errors(truth, est)[0] for est in sets]
+        assert _pair_errors(truth) == []
 
 
 def identity_rel(ids):

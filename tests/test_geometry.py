@@ -19,6 +19,7 @@ from agentpose.geometry import (
     footprint_iou,
     footprints,
     inverse,
+    inverse_columns,
     normalize_angle,
     overlap_pairs,
     rotated_iou_bev,
@@ -91,7 +92,7 @@ class TestComposeColumns:
         x, y = rng.uniform(-80, 80, 2000), rng.uniform(-80, 80, 2000)
         theta = rng.uniform(-math.pi, math.pi, 2000)
         theta[:4] = (math.pi, -0.0, 0.0, math.nextafter(-math.pi, 0.0))
-        gx, gy, gt = compose_columns(frames, owner, x, y, theta)
+        gx, gy, gt = compose_columns(np.array([f.as_tuple() for f in frames]), owner, x, y, theta)
         want = np.array([
             compose(frames[a], Pose2(float(bx), float(by), float(bt))).as_tuple()
             for a, bx, by, bt in zip(owner, x, y, theta)
@@ -101,12 +102,40 @@ class TestComposeColumns:
 
     def test_empty(self):
         empty = np.zeros(0)
-        gx, gy, gt = compose_columns([], np.zeros(0, dtype=int), empty, empty, empty)
+        gx, gy, gt = compose_columns(np.zeros((0, 3)), np.zeros(0, dtype=int), empty, empty, empty)
         assert gx.shape == gy.shape == gt.shape == (0,)
 
     def test_rejects_non_finite_translation(self):
+        frame = np.array([[1e308, 0.0, 0.0]])
         with pytest.raises(ValueError):
-            compose_columns([Pose2(1e308, 0.0, 0.0)], np.zeros(1, dtype=int), np.array([1e308]), np.zeros(1), np.zeros(1))
+            compose_columns(frame, np.zeros(1, dtype=int), np.array([1e308]), np.zeros(1), np.zeros(1))
+
+
+class TestInverseColumns:
+    def test_bit_identical_to_inverse(self):
+        rng = np.random.default_rng(15)
+        poses = [random_pose(rng, span=200.0) for _ in range(1000)]
+        poses += [Pose2(3.0, -4.0, t) for t in (math.pi, -math.pi, 0.0, -0.0)]
+        got = inverse_columns(np.array([p.as_tuple() for p in poses]))
+        want = np.array([inverse(p).as_tuple() for p in poses])
+        assert got.shape == (1004, 3)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_empty(self):
+        assert inverse_columns(np.zeros((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "row",
+        [(math.nan, 0.0, 0.0), (0.0, math.inf, 1.0), (1.5e308, 1.5e308, math.pi / 4)],
+        ids=["x_nan", "y_inf", "overflow"],
+    )
+    def test_rejects_non_finite_translation(self, row):
+        rows = np.array([(1.0, 2.0, 0.5), row])
+        with pytest.raises(ValueError, match="pose translation must be finite"):
+            inverse_columns(rows)
+        if math.isfinite(row[0]) and math.isfinite(row[1]):
+            with pytest.raises(ValueError, match="pose translation must be finite"):
+                inverse(Pose2(*row))
 
 
 class TestPose2:
@@ -185,8 +214,9 @@ def solver_residuals(triples):
     n = len(triples)
     z, xi, chi = (np.array([t[i].as_tuple() for t in triples]).reshape(-1, 3) for i in range(3))
     k = np.repeat(np.arange(n), 2)
-    nodes = (Pose2.identity(),) * n
-    graph = PoseGraph(tuple(map(str, range(n))), nodes, 0, nodes, np.stack((k, k), axis=1), z[k], np.ones((2 * n, 3)))
+    agents = (Pose2.identity(),) * n
+    edges = np.stack((k, k), axis=1)
+    graph = PoseGraph(tuple(map(str, range(n))), agents, 0, np.zeros((n, 3)), edges, z[k], np.ones((2 * n, 3)))
     return _Problem(graph).evaluate(np.concatenate((xi, chi)))[0][::2]
 
 

@@ -162,8 +162,7 @@ class TestInitObjectPose:
 
     def test_single_member(self):
         (pose,) = _seed_poses(*seed_args([(1.0, 2.0, 0.5, 0.04, 0.04, 0.01)]))
-        assert (pose.x, pose.y) == pytest.approx((1.0, 2.0), abs=1e-12)
-        assert pose.theta == pytest.approx(0.5, abs=1e-12)
+        assert tuple(pose) == pytest.approx((1.0, 2.0, 0.5), abs=1e-12)
 
     def test_symmetric_mean(self):
         # Two objects seeded in one call, their members interleaved.
@@ -174,18 +173,18 @@ class TestInitObjectPose:
             (5.0, 7.0, 1.0, 0.04, 0.04, 0.01),
         ]
         first, second = _seed_poses(*seed_args(members, obj=[0, 1, 0, 1]))
-        assert (first.x, first.y, first.theta) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
-        assert (second.x, second.y, second.theta) == pytest.approx((5.0, 6.0, 1.0), abs=1e-12)
+        assert tuple(first) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+        assert tuple(second) == pytest.approx((5.0, 6.0, 1.0), abs=1e-12)
 
     def test_circular_mean_wraps(self):
         # +170 and -170 degrees average to 180, not 0.
         members = [(0.0, 0.0, math.radians(t), 0.04, 0.04, 0.01) for t in (170.0, -170.0)]
-        assert _seed_poses(*seed_args(members))[0].theta == pytest.approx(math.pi, abs=1e-12)
+        assert _seed_poses(*seed_args(members))[0, 2] == pytest.approx(math.pi, abs=1e-12)
 
     def test_information_weighting(self):
         # Weights 1 and 4 on x: mean at (0*1 + 2*4)/5 = 1.6.
         members = [(0.0, 0.0, 0.0, 1.0, 1.0, 0.01), (2.0, 0.0, 0.0, 0.25, 0.25, 0.01)]
-        assert _seed_poses(*seed_args(members))[0].x == pytest.approx(1.6, abs=1e-12)
+        assert _seed_poses(*seed_args(members))[0, 0] == pytest.approx(1.6, abs=1e-12)
 
     def test_owner_pose_applied(self):
         # Both boxes lift to the same global pose, which seeds the object.
@@ -196,7 +195,7 @@ class TestInitObjectPose:
             AgentMessage("a1", Pose2.identity(), box_block([make_box(expected.x, expected.y, expected.theta)])),
         ]
         (pose,) = build_pose_graph(messages, "a1").object_poses
-        assert (pose.x, pose.y, pose.theta) == pytest.approx(expected.as_tuple(), abs=1e-12)
+        assert tuple(pose) == pytest.approx(expected.as_tuple(), abs=1e-12)
 
 
 class TestBuildPoseGraph:
@@ -275,7 +274,7 @@ def valid_columns():
         agent_ids=("a", "b"),
         agent_poses=(Pose2.identity(), Pose2(1.0, 0.0, 0.0)),
         ego_index=0,
-        object_poses=(Pose2(2.0, 0.0, 0.0), Pose2(0.0, 3.0, 0.0)),
+        object_poses=np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]]),
         edge_nodes=np.array([[0, 0], [1, 0], [0, 1], [1, 1]]),
         measurements=np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 3.0, 0.0], [-1.0, 3.0, 0.0]]),
         info=np.array([[1.0, 2.0, 3.0]] * 4),
@@ -320,6 +319,13 @@ class TestPoseGraphColumns:
             with_entry("info", 2, 2, math.inf),
             with_entry("info", 3, 0, math.nan),
             with_entry("edge_nodes", 3, 1, 0),
+            with_column("object_poses", lambda p: p.ravel()),
+            with_column("object_poses", lambda p: p[:, :2]),
+            with_column("object_poses", lambda p: [Pose2(*row) for row in p.tolist()]),
+            with_entry("object_poses", 0, 0, math.nan),
+            with_entry("object_poses", 1, 1, -math.inf),
+            with_entry("object_poses", 0, 2, math.inf),
+            with_entry("object_poses", 1, 2, math.nan),
         ],
         ids=[
             "fewer_measurements", "more_info", "one_node_column", "flat_info",
@@ -327,6 +333,8 @@ class TestPoseGraphColumns:
             "measurement_nan", "measurement_inf", "heading_minus_inf",
             "info_zero", "info_negative", "info_inf", "info_nan",
             "object_degree_1",
+            "flat_object_poses", "object_pose_two_columns", "object_pose2_sequence",
+            "object_x_nan", "object_y_minus_inf", "object_heading_inf", "object_heading_nan",
         ],
     )
     def test_rejects_invalid_columns(self, make_columns):
@@ -336,7 +344,7 @@ class TestPoseGraphColumns:
     def test_columns_are_read_only_copies(self):
         columns = valid_columns()
         graph = PoseGraph(**columns)
-        for name in ("edge_nodes", "measurements", "info"):
+        for name in ("object_poses", "edge_nodes", "measurements", "info"):
             with pytest.raises(ValueError):
                 getattr(graph, name)[0, 0] = 1
             columns[name][0, 0] = 7
@@ -351,10 +359,20 @@ class TestPoseGraphColumns:
         got = PoseGraph(**columns).measurements[:, 2]
         assert got.tobytes() == np.array([normalize_angle(t) for t in headings]).tobytes()
 
+    def test_object_headings_wrapped_like_normalize_angle(self):
+        columns = valid_columns()
+        columns["object_poses"][:, 2] = (3 * math.pi, -math.pi)
+        got = PoseGraph(**columns).object_poses
+        assert got[:, 2].tobytes() == np.array([normalize_angle(3 * math.pi), normalize_angle(-math.pi)]).tobytes()
+        assert got[:, 2].tolist() == [Pose2(0.0, 0.0, t).theta for t in (3 * math.pi, -math.pi)]
+        assert got[:, :2].tolist() == valid_columns()["object_poses"][:, :2].tolist()
+
     def test_equality_is_bitwise(self):
         graph = PoseGraph(**valid_columns())
         assert graph == PoseGraph(**valid_columns())
-        for name, col, value in (("info", 0, np.nextafter(1.0, 2.0)), ("measurements", 1, -0.0)):
+        for name, col, value in (
+            ("info", 0, np.nextafter(1.0, 2.0)), ("measurements", 1, -0.0), ("object_poses", 0, np.nextafter(2.0, 3.0)),
+        ):
             columns = valid_columns()
             columns[name][0, col] = value
             assert graph != PoseGraph(**columns)
@@ -432,7 +450,7 @@ class TestBuildMatchesScalarOracle:
         ]
         graph = build_pose_graph(messages, "a0")
         assert graph == scalar_build_oracle(messages, "a0")
-        assert graph.object_poses == () and graph.edges == ()
+        assert graph.object_poses.shape == (0, 3) and graph.edges == ()
 
     def test_all_singleton_clusters(self):
         messages = [
@@ -441,7 +459,7 @@ class TestBuildMatchesScalarOracle:
         ]
         graph = build_pose_graph(messages, "a1")
         assert graph == scalar_build_oracle(messages, "a1")
-        assert graph.object_poses == () and graph.edges == ()
+        assert graph.object_poses.shape == (0, 3) and graph.edges == ()
 
     def test_non_ego_agent_without_shared_objects(self):
         shared = [Pose2(4.0, 4.0, 0.3), Pose2(12.0, -3.0, -0.8)]
@@ -480,6 +498,30 @@ def two_agent_graph(perturb=(0.5, -0.3, 0.1)):
 
 
 class TestOptimize:
+    def test_object_poses_stay_columns(self, monkeypatch):
+        # At 12 agents / 200 objects the build makes no Pose2 and the solve only
+        # its non-ego agents; the solved objects are the read-only tail of the state.
+        scene = generate_scene(12, 200, area=(200.0, 200.0), seed=1)
+        messages = make_messages(scene, NoiseSpec("gaussian", 0.6, 0.6), DetectorSpec(), 1)
+        made = []
+        init = Pose2.__post_init__
+        monkeypatch.setattr(Pose2, "__post_init__", lambda pose: made.append(pose) or init(pose))
+        graph = build_pose_graph(messages, "agent0")
+        assert made == []
+        result = optimize(graph)
+        assert len(made) == len(graph.agent_ids) - 1
+        assert len(graph.object_poses) > 150 and result.object_poses.shape == graph.object_poses.shape
+        with pytest.raises(ValueError):
+            result.object_poses[0, 0] = 0.0
+
+    def test_results_compare_bit_for_bit(self):
+        graph = two_agent_graph()[0]
+        result = optimize(graph)
+        assert result == optimize(graph)
+        moved = result.object_poses.copy()
+        moved[0, 0] = np.nextafter(moved[0, 0], math.inf)
+        assert result != replace(result, object_poses=moved)
+
     def test_noiseless_graph_zero_iterations(self):
         objs = [Pose2(4.0, 4.0, 0.3), Pose2(12.0, -3.0, -0.8)]
         messages = [
@@ -548,7 +590,7 @@ class TestOptimize:
                     plus[node, c] += h
                     minus = poses.copy()
                     minus[node, c] -= h
-                    fd = (prob.residuals(plus) - prob.residuals(minus)) / (2 * h)
+                    fd = (prob.evaluate(plus)[1].ravel() - prob.evaluate(minus)[1].ravel()) / (2 * h)
                     col = jac[:, 3 * rank + c]
                     err = np.abs(col - fd) / np.maximum(1.0, np.maximum(np.abs(col), np.abs(fd)))
                     assert np.max(err) <= 1e-5
@@ -559,10 +601,10 @@ class TestOptimize:
         prob = _Problem(graph)
         poses = prob.p0.copy()
         poses[prob.free_nodes] += rng.uniform(-0.5, 0.5, (len(prob.free_nodes), 3))
-        got = prob.residuals(poses)
+        got = prob.evaluate(poses)[1].ravel()
         want = graph_residual_oracle(
             [p.as_tuple() for p in graph.agent_poses],
-            [p.as_tuple() for p in graph.object_poses],
+            graph.object_poses.tolist(),
             [(e.agent_index, e.object_index, e.measurement.as_tuple(), e.info) for e in graph.edges],
             poses[prob.free_nodes].ravel(),
             list(prob.free_nodes),
@@ -599,10 +641,9 @@ class TestOptimize:
             result = optimize(graph)
             prob = _Problem(graph)
             poses = np.array(
-                [result.agent_poses[a].as_tuple() for a in graph.agent_ids]
-                + [p.as_tuple() for p in result.object_poses]
+                [result.agent_poses[a].as_tuple() for a in graph.agent_ids] + result.object_poses.tolist()
             )
-            r = prob.residuals(poses).reshape(-1, 3)
+            r = prob.evaluate(poses)[1]
             unweighted = r[0] / prob.sqrt_w[0]
             residual_norms.append(float(np.linalg.norm(unweighted)))
         assert all(b < a for a, b in zip(residual_norms, residual_norms[1:]))
@@ -841,7 +882,8 @@ def repeated_edge_graph():
     edges = [(e.agent_index, e.object_index, e.measurement, e.info) for e in graph.edges]
     a, o, z, _ = next(e for e in edges if e[0] != graph.ego_index)
     extra = (a, o, Pose2(z.x + 0.4, z.y - 0.3, z.theta + 0.1), (3.0, 0.5, 2.0))
-    return graph_from_edges(graph.agent_ids, graph.agent_poses, graph.ego_index, graph.object_poses, edges + [extra])
+    objects = [Pose2(*p) for p in graph.object_poses.tolist()]
+    return graph_from_edges(graph.agent_ids, graph.agent_poses, graph.ego_index, objects, edges + [extra])
 
 
 class TestSchurStep:
@@ -915,7 +957,7 @@ class TestSchurStep:
         for k, obj in enumerate(result.object_poses):
             zs = [e.measurement for e in graph.edges if e.object_index == k]
             want = (sum(z.x for z in zs) / 2, sum(z.y for z in zs) / 2, sum(z.theta for z in zs) / 2)
-            np.testing.assert_allclose(obj.as_tuple(), want, atol=1e-9)
+            np.testing.assert_allclose(obj, want, atol=1e-9)
         assert result.agent_poses["ego"] == graph.agent_poses[0]
 
 

@@ -151,6 +151,15 @@ class TestGenerateScene:
             with pytest.raises(ValueError, match="extent must be two positive finite values"):
                 Scene(agents=agents, objects=(), extent=extent)
 
+    @pytest.mark.parametrize("pair", [(50.0, 60.0, 70.0), (50.0,), ()])
+    def test_area_and_extent_need_exactly_two_values(self, pair):
+        with pytest.raises(ValueError, match="area must be two positive finite values"):
+            generate_scene(2, 3, area=pair, seed=1)
+        with pytest.raises(ValueError, match="extent must be two positive finite values"):
+            generate_scene(2, 3, extent=pair, seed=1)
+        with pytest.raises(ValueError, match="extent must be two positive finite values"):
+            Scene(agents=(SceneAgent("a0", Pose2.identity()),), objects=(), extent=pair)
+
 
 class TestPlacementMatchesScalar:
     """generate_scene's grid test places the objects that testing every placed one would."""
