@@ -20,7 +20,6 @@ from .scenario import (
     DetectorSpec,
     NoiseSpec,
     ScenarioError,
-    generate_scene,
     load_json,
     make_messages,
     save_json,
@@ -89,11 +88,12 @@ def _merge_config(path: str | None) -> dict:
     return config
 
 
-def _build(cls: type, cfg: dict, key: str) -> Any:
+def _build(cls: type, kwargs: dict, what: str) -> Any:
+    """cls(**kwargs), a value it rejects raised as a UsageError about what."""
     try:
-        return cls(**cfg[key])
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"config field {key!r}: {exc}") from exc
+        return cls(**kwargs)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise UsageError(f"{what}: {exc}") from exc
 
 
 def _benchmark_config(cfg: dict, seed: int) -> BenchmarkConfig:
@@ -102,13 +102,10 @@ def _benchmark_config(cfg: dict, seed: int) -> BenchmarkConfig:
     for f in fields(BenchmarkConfig):
         node, key = _slot(cfg, f.name)
         kwargs[f.name] = node[key]
-    kwargs.update(
-        seed=seed, detector=_build(DetectorSpec, cfg, "detector"), solver=_build(SolverParams, cfg, "solver")
-    )
-    try:
-        return BenchmarkConfig(**kwargs)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise UsageError(f"invalid config: {exc}") from exc
+    kwargs["seed"] = seed
+    for key, cls in (("detector", DetectorSpec), ("solver", SolverParams)):
+        kwargs[key] = _build(cls, cfg[key], f"config field {key!r}")
+    return _build(BenchmarkConfig, kwargs, "invalid config")
 
 
 def _require_seed(cfg: dict, args: argparse.Namespace) -> int:
@@ -134,20 +131,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args.config)
     seed = _require_seed(cfg, args)
     config = _benchmark_config(cfg, seed)
-    scene = generate_scene(
-        config.num_agents,
-        config.num_objects,
-        area=config.area,
-        seed=seed,
-        extent=config.extent,
-        min_object_gap=config.min_object_gap,
-    )
+    scene = config.scene(seed)
     out = args.out or "scene.json"
-    try:
-        save_json(scene_to_dict(scene), out)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 2
+    save_json(scene_to_dict(scene), out)
     print(f"seed: {seed}")
     print(f"wrote {out}")
     return 0
@@ -166,7 +152,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise UsageError(f"ego agent {ego!r} not present in scene")
     seed = args.seed if args.seed is not None else (cfg["seed"] if cfg["seed"] is not None else 0)
     config = _benchmark_config(cfg, int(seed))
-    noise = _build(NoiseSpec, cfg, "noise")
+    noise = _build(NoiseSpec, cfg["noise"], "config field 'noise'")
 
     messages = make_messages(scene, noise, config.detector, int(seed))
     graph = build_pose_graph(messages, ego, center_gap=config.cluster_gap)
@@ -195,11 +181,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         },
     }
     if args.out:
-        try:
-            save_json(payload, args.out)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
+        save_json(payload, args.out)
         print(f"wrote {args.out}")
     else:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
@@ -215,19 +197,15 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     if stem.endswith(".json"):
         stem = stem[: -len(".json")]
     report_path = f"{stem}.json"
-    try:
-        save_json(result.to_dict(), report_path)
-        print(f"wrote {report_path}")
-        if args.format == "csv":
-            for level in result.levels:
-                label = f"{level.noise.trans_scale:g}-{level.noise.rot_scale:g}"
-                for metric in ("translation", "rotation"):
-                    path = f"{stem}.{label}.{metric}.csv"
-                    write_histogram_csv(level, metric, path)
-                    print(f"wrote {path}")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
+    save_json(result.to_dict(), report_path)
+    print(f"wrote {report_path}")
+    if args.format == "csv":
+        for level in result.levels:
+            label = f"{level.noise.trans_scale:g}-{level.noise.rot_scale:g}"
+            for metric in ("translation", "rotation"):
+                path = f"{stem}.{label}.{metric}.csv"
+                write_histogram_csv(level, metric, path)
+                print(f"wrote {path}")
     for level in result.levels:
         ratio = level.median_reduction_ratio
         t = "n/a" if ratio["translation"] is None else f"{ratio['translation']:.3f}"
@@ -294,6 +272,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # reads are UsageErrors by now, so this is an output write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

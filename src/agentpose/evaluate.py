@@ -28,7 +28,9 @@ from .posegraph import (
     box_columns,
     build_pose_graph,
     optimize,
+    positive_finite,
     relative_poses,
+    whole_number,
     with_uniform_info,
 )
 from .scenario import (
@@ -42,7 +44,7 @@ from .scenario import (
     derive_seed,
     generate_scene,
     make_messages,
-    positive_pair,
+    scene_arguments,
 )
 # rotated_iou_bev and transform_box stay bound though unused: both are names in
 # perfbench/tracing.py's INTERCEPTED table, which rebinds them in this module.
@@ -71,18 +73,27 @@ def relative_pose_error(estimated: Pose2, truth: Pose2) -> tuple[float, float]:
     return math.hypot(d.x, d.y), abs(math.degrees(d.theta))
 
 
+def nms_iou_bound(value) -> float:
+    """value as a float; ValueError unless it is an NMS IoU bound in (0, 1]."""
+    if not 0.0 < float(value) <= 1.0:
+        raise ValueError(f"nms_iou must be in (0, 1], got {value!r}")
+    return float(value)
+
+
+def ap_threshold(value, name: str) -> float:
+    """value as a float; ValueError unless it is an AP IoU threshold in (0, 1)."""
+    if not 0.0 < float(value) < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {value!r}")
+    return float(value)
+
+
 def _fuse_rows(messages, rel_poses, nms_iou: float) -> tuple[np.ndarray, list[str]]:
     """The rows late_fuse keeps, in the ego frame and in rank order, and their senders' agent ids."""
-    if not 0.0 < nms_iou <= 1.0:
-        raise ValueError(f"nms_iou must be in (0, 1], got {nms_iou!r}")
-    ids = [m.agent_id for m in messages]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate agent_id in messages")
-    missing = [a for a in ids if a not in rel_poses]
+    nms_iou = nms_iou_bound(nms_iou)
+    ordered, block, owner = box_columns(messages)
+    missing = [m.agent_id for m in ordered if m.agent_id not in rel_poses]
     if missing:
         raise ValueError(f"relative poses missing for agents {missing}")
-    ordered = sorted(messages, key=lambda m: m.agent_id)
-    block, owner = box_columns(ordered)
     # A stable sort keeps equal confidences in the stacked order: by agent_id,
     # then box index.
     ranked = np.argsort(-block[:, 10], kind="stable")
@@ -185,8 +196,7 @@ def average_precision(
     score is 1.0 when there are also no detections (nothing to do) and 0.0
     otherwise.
     """
-    if not 0.0 < iou_threshold < 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold!r}")
+    iou_threshold = ap_threshold(iou_threshold, "iou_threshold")
     boxes = [b for b, _ in detections] + list(ground_truth)
     boxes = np.array([(b.cx, b.cy, b.length, b.width, b.heading) for b in boxes], dtype=float).reshape(-1, 5)
     rows = _ranked_ious(boxes[: len(detections)], [c for _, c in detections], boxes[len(detections) :])
@@ -213,31 +223,26 @@ class BenchmarkConfig:
     ap_thresholds: tuple[float, ...] = (0.5, 0.7)
 
     def __post_init__(self) -> None:
-        for name, cast in (
-            ("scenes", int), ("num_agents", int), ("num_objects", int),
-            ("min_object_gap", float), ("cluster_gap", float), ("nms_iou", float),
-        ):
-            object.__setattr__(self, name, cast(getattr(self, name)))
-        if self.scenes < 1:
-            raise ValueError("scenes must be >= 1")
-        if self.num_agents < 1 or self.num_objects < 0:
-            raise ValueError("num_agents must be >= 1 and num_objects >= 0")
-        if not 0.0 <= self.min_object_gap < math.inf:
-            raise ValueError("min_object_gap must be finite and >= 0")
-        for name in ("area", "extent"):
-            object.__setattr__(self, name, positive_pair(getattr(self, name), name))
-        object.__setattr__(self, "noise_grid", tuple((float(t), float(r)) for t, r in self.noise_grid))
-        object.__setattr__(self, "ap_thresholds", tuple(float(t) for t in self.ap_thresholds))
+        """Checks scenes and noise_grid itself, and every other value with the rule of the call it configures."""
+        scene = scene_arguments(self.num_agents, self.num_objects, self.area, self.extent, self.min_object_gap)
+        checked = dict(
+            zip(("num_agents", "num_objects", "area", "extent", "min_object_gap"), scene),
+            scenes=whole_number(self.scenes, "scenes", 1),
+            noise_grid=tuple((float(t), float(r)) for t, r in self.noise_grid),
+            cluster_gap=positive_finite(self.cluster_gap, "cluster_gap"),
+            nms_iou=nms_iou_bound(self.nms_iou),
+            ap_thresholds=tuple(ap_threshold(t, "ap_thresholds") for t in self.ap_thresholds),
+        )
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if not self.noise_grid:
             raise ValueError("noise_grid must not be empty")
         for level in range(len(self.noise_grid)):
             self.noise_at(level)  # NoiseSpec checks the kind and both scales
-        if not all(0.0 < t < 1.0 for t in self.ap_thresholds):
-            raise ValueError("ap_thresholds must be in (0, 1)")
-        if not 0.0 < self.cluster_gap < math.inf:
-            raise ValueError("cluster_gap must be positive and finite")
-        if not 0.0 < self.nms_iou <= 1.0:
-            raise ValueError("nms_iou must be in (0, 1]")
+
+    def scene(self, seed: int) -> Scene:
+        """generate_scene with this config's scene arguments."""
+        return generate_scene(self.num_agents, self.num_objects, self.area, seed, self.extent, self.min_object_gap)
 
     def noise_at(self, level: int) -> NoiseSpec:
         t, r = self.noise_grid[level]
@@ -316,7 +321,7 @@ class BenchmarkResult:
 def _ground_truth_columns(scene: Scene, ego_id: str) -> np.ndarray:
     """The scene's objects in the ego frame as (n, 5) columns cx, cy, length, width, heading."""
     obj = _object_columns(scene)
-    frame = inverse_columns(scene.agent(ego_id).pose.as_tuple())
+    frame = inverse(scene.agent(ego_id).pose).as_tuple()
     x, y, theta = compose_columns(frame, np.zeros(len(obj), dtype=np.intp), *obj[:, :3].T)
     return np.stack((x, y, obj[:, 3], obj[:, 4], theta), axis=1)
 
@@ -359,14 +364,7 @@ def _solver_contract(graph: PoseGraph, results: Sequence[SolveResult]) -> dict[s
 
 def _run_scene(config: BenchmarkConfig, level: int, scene_idx: int) -> dict:
     try:
-        scene = generate_scene(
-            config.num_agents,
-            config.num_objects,
-            area=config.area,
-            seed=derive_seed(config.seed, "scene", scene_idx),
-            extent=config.extent,
-            min_object_gap=config.min_object_gap,
-        )
+        scene = config.scene(derive_seed(config.seed, "scene", scene_idx))
     except ScenarioError as exc:
         return {"ok": False, "reason": str(exc)}
     noise = config.noise_at(level)

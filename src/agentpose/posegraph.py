@@ -77,11 +77,29 @@ class AgentMessage:
         return tuple(BoxDetection(*row, agent_id=self.agent_id) for row in self.block.tolist())
 
 
-def box_columns(messages: Sequence[AgentMessage]) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of the messages stacked into one (K, 11) block, and each row's message index."""
-    block = np.concatenate([np.empty((0, BOX_WIDTH))] + [m.block for m in messages])
-    owner = np.repeat(np.arange(len(messages)), [len(m.block) for m in messages])
-    return block, owner
+def whole_number(value, name: str, minimum: int) -> int:
+    """value as an int; ValueError unless it is a whole number >= minimum (a float such as 10.0 is one)."""
+    if isinstance(value, float) and not value.is_integer() or int(value) < minimum:
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def positive_finite(value, name: str) -> float:
+    """value as a float; ValueError unless it is positive and finite."""
+    if not 0.0 < float(value) < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def box_columns(messages: Sequence[AgentMessage]) -> tuple[list[AgentMessage], np.ndarray, np.ndarray]:
+    """The senders in agent-id order, their blocks stacked in that order into one (K, 11) block, and each
+    row's index into that order; ValueError when two messages share an agent_id."""
+    ordered = sorted(messages, key=lambda m: m.agent_id)
+    if any(a.agent_id == b.agent_id for a, b in zip(ordered, ordered[1:])):
+        raise ValueError("duplicate agent_id in messages")
+    block = np.concatenate([np.empty((0, BOX_WIDTH))] + [m.block for m in ordered])
+    owner = np.repeat(np.arange(len(ordered)), [len(m.block) for m in ordered])
+    return ordered, block, owner
 
 
 @dataclass(frozen=True)
@@ -171,8 +189,7 @@ class SolverParams:
     def __post_init__(self) -> None:
         if any(isinstance(v, float) and not math.isfinite(v) for v in (getattr(self, f.name) for f in fields(self))):
             raise ValueError("solver parameters must be finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        object.__setattr__(self, "max_iterations", whole_number(self.max_iterations, "max_iterations", 1))
         if self.initial_damping <= 0.0:
             raise ValueError("initial_damping must be positive")
         if self.damping_increase <= 1.0 or not 0.0 < self.damping_decrease < 1.0:
@@ -254,8 +271,7 @@ def _cluster_labels(
     agent, descending confidence and index, and the boxes kept in all the
     components that lost one are split again by one more _components call.
     """
-    if center_gap <= 0.0:
-        raise ValueError(f"center_gap must be positive, got {center_gap!r}")
+    center_gap = positive_finite(center_gap, "center_gap")
     gap2 = center_gap * center_gap
     root = _components(xs, ys, gap2)
     order = np.lexsort((np.arange(len(xs)), -confidence, agent, root))
@@ -306,13 +322,10 @@ def build_pose_graph(
     lift, the clustering and the object seeds as columns, bit-identical to
     the one-box-at-a-time build that tests/helpers.py keeps as a reference.
     """
-    ids = [m.agent_id for m in messages]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate agent_id in messages")
-    if ego_id not in ids:
+    ordered, block, owner = box_columns(messages)
+    agent_ids = tuple(m.agent_id for m in ordered)
+    if ego_id not in agent_ids:
         raise ValueError(f"ego agent {ego_id!r} not present in messages")
-    ordered = sorted(messages, key=lambda m: m.agent_id)
-    block, owner = box_columns(ordered)
     # cx, cy, theta, var_x, var_y, var_theta, confidence
     cols = block[:, [0, 1, 6, 7, 8, 9, 10]]
     gx, gy, gt = compose_columns([m.measured_pose.as_tuple() for m in ordered], owner, *cols[:, :3].T)
@@ -325,7 +338,6 @@ def build_pose_graph(
     member = member[np.argsort(labels[member], kind="stable")]
     obj = (np.cumsum(is_object) - 1)[labels[member]]
     w = 1.0 / cols[member, 3:6]
-    agent_ids = tuple(m.agent_id for m in ordered)
     return PoseGraph(
         agent_ids=agent_ids,
         agent_poses=tuple(m.measured_pose for m in ordered),

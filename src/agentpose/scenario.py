@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Pose2, compose_columns, inverse_columns
-from .posegraph import BOX_WIDTH, AgentMessage
+from .geometry import Pose2, compose_columns, inverse
+from .posegraph import BOX_WIDTH, AgentMessage, positive_finite, whole_number
 
 # Reported variances are floored so zero-noise runs still produce valid
 # (positive definite) information weights.
@@ -46,6 +46,17 @@ def positive_pair(value, name: str) -> tuple[float, float]:
     if len(pair) != 2 or not all(0.0 < v < math.inf for v in pair):
         raise ValueError(f"{name} must be two positive finite values")
     return pair
+
+
+def scene_arguments(num_agents, num_objects, area, extent, min_object_gap) -> tuple[int, int, tuple, tuple, float]:
+    """generate_scene's arguments as it uses them; ValueError unless the counts are whole numbers, at least
+    one agent and no negative object count, area and extent positive_pairs and min_object_gap finite and >= 0."""
+    if not 0.0 <= float(min_object_gap) < math.inf:
+        raise ValueError(f"min_object_gap must be finite and >= 0, got {min_object_gap!r}")
+    return (
+        whole_number(num_agents, "num_agents", 1), whole_number(num_objects, "num_objects", 0),
+        positive_pair(area, "area"), positive_pair(extent, "extent"), float(min_object_gap),
+    )
 
 
 @dataclass(frozen=True)
@@ -147,9 +158,9 @@ class DetectorSpec:
         for name in ("center_noise_sd", "heading_noise_sd", "base_confidence"):
             object.__setattr__(self, name, getattr(self, name) + 0.0)  # a -0.0 passes the checks; store 0.0
         if self.noise_scale_choices is not None:
-            choices = tuple(float(c) for c in self.noise_scale_choices)
-            if not choices or not all(0.0 < c < math.inf for c in choices):
-                raise ValueError("noise_scale_choices must be positive and finite")
+            choices = tuple(positive_finite(c, "noise_scale_choices") for c in self.noise_scale_choices)
+            if not choices:
+                raise ValueError("noise_scale_choices must not be empty")
             object.__setattr__(self, "noise_scale_choices", choices)
 
 
@@ -166,13 +177,10 @@ def generate_scene(
     Objects keep pairwise center distance >= min_object_gap; placement is
     rejection-sampled and raises ScenarioError when the packing is infeasible.
     """
-    if num_agents < 1:
-        raise ValueError("need at least one agent")
-    if num_objects < 0:
-        raise ValueError("num_objects must be >= 0")
-    hx, hy = (0.5 * side for side in positive_pair(area, "area"))
-    if not 0.0 <= min_object_gap < math.inf:
-        raise ValueError(f"min_object_gap must be finite and >= 0, got {min_object_gap!r}")
+    num_agents, num_objects, area, extent, min_object_gap = scene_arguments(
+        num_agents, num_objects, area, extent, min_object_gap
+    )
+    hx, hy = (0.5 * side for side in area)
     # Each rng.uniform(lo, hi) of the placement is written as the bare draw
     # lo + (hi - lo) * rng.random(), which is the same number from the same
     # stream (pinned in tests/test_scenario.py).
@@ -262,7 +270,7 @@ def _detect_block(
     bit (pinned in tests/test_scenario.py), and the confidence clamp keeps a
     -0.0, as the scalar max(c, 0.0) does.
     """
-    frame = inverse_columns(agent_pose.as_tuple())
+    frame = inverse(agent_pose).as_tuple()
     lx, ly, lt = compose_columns(frame, np.zeros(len(objects), dtype=np.intp), *objects[:, :3].T)
     inside = np.flatnonzero((np.abs(lx) <= extent[0]) & (np.abs(ly) <= extent[1]))
     rnd, normal, choices = rng.random, rng.standard_normal, spec.noise_scale_choices

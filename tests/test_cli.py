@@ -256,6 +256,11 @@ BAD_CONFIG_VALUES = [
     pytest.param({"solver": {"initial_damping": float("nan")}}, id="solver_nan"),
     pytest.param({"solver": {"max_iterations": float("inf")}}, id="solver_inf"),
     pytest.param({"scenes": float("inf")}, id="scenes_inf"),
+    # Counts must be whole numbers: int() would silently truncate these.
+    pytest.param({"scenes": 2.7}, id="scenes_fraction"),
+    pytest.param({"agents": 3.5}, id="agents_fraction"),
+    pytest.param({"objects": 9.5}, id="objects_fraction"),
+    pytest.param({"solver": {"max_iterations": 2.5}}, id="max_iterations_fraction"),
 ]
 
 
@@ -275,6 +280,24 @@ class TestBadConfigValues:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
         assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--seed", "1"],
+        ["solve", "--scene", "{scene}", "--seed", "1"],
+        ["benchmark", "--config", "{config}", "--seed", "1", "--format", "csv"],
+    ],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    _, scene = run_generate(tmp_path)
+    config = small_benchmark_config(tmp_path, scenes=1, noise_grid=[[0.2, 0.2]])
+    out = tmp_path / "missing" / "out.json"
+    capsys.readouterr()
+    assert main([a.format(scene=scene, config=config) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestSelftestAndUsage:

@@ -524,6 +524,14 @@ class TestRunBenchmark:
         with pytest.raises(TypeError):
             BenchmarkConfig()  # type: ignore[call-arg]
 
+    def test_whole_number_counts(self):
+        config = BenchmarkConfig(seed=1, scenes=100.0, num_agents=4.0, num_objects=10.0)
+        assert config == BenchmarkConfig(seed=1)
+        assert [type(v) for v in (config.scenes, config.num_agents, config.num_objects)] == [int, int, int]
+        for bad in ({"scenes": 2.7}, {"num_agents": 3.5}, {"num_objects": 9.5}):
+            with pytest.raises(ValueError, match="must be a whole number"):
+                BenchmarkConfig(seed=1, **bad)
+
 
 class TestHistograms:
     def test_rows_have_three_series(self):

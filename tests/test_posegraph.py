@@ -472,7 +472,7 @@ class TestBuildMatchesScalarOracle:
         assert graph == scalar_build_oracle(messages, "a0")
         assert len(graph.object_poses) == 2 and all(e.agent_index != 2 for e in graph.edges)
 
-    @pytest.mark.parametrize("gap", [0.0, -1.0])
+    @pytest.mark.parametrize("gap", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_gap(self, gap):
         objs = [Pose2(4.0, 4.0, 0.3)]
         messages = [exact_message("a0", Pose2.identity(), objs), exact_message("a1", Pose2(8.0, 2.0, 0.5), objs)]
@@ -667,6 +667,9 @@ class TestOptimize:
             SolverParams(initial_damping=0.0)
         with pytest.raises(ValueError):
             SolverParams(damping_decrease=1.5)
+        with pytest.raises(ValueError, match="max_iterations must be a whole number"):
+            SolverParams(max_iterations=2.5)
+        assert SolverParams(max_iterations=7.0).max_iterations == 7
 
     def test_uniform_info_override(self):
         graph = random_noisy_graph(np.random.default_rng(103))

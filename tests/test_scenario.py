@@ -151,6 +151,17 @@ class TestGenerateScene:
             with pytest.raises(ValueError, match="extent must be two positive finite values"):
                 Scene(agents=agents, objects=(), extent=extent)
 
+    def test_extent_checked_before_placement(self):
+        # 500 objects do not fit in 20 x 20 m: the placement would raise ScenarioError.
+        with pytest.raises(ValueError, match="extent must be two positive finite values"):
+            generate_scene(1, 500, area=(20.0, 20.0), extent=(1.0, 2.0, 3.0))
+
+    def test_counts_must_be_whole_numbers(self):
+        for agents, objects in ((2.5, 3), (2, 3.5), (2, math.nan), (math.inf, 3)):
+            with pytest.raises(ValueError, match="must be a whole number"):
+                generate_scene(agents, objects, seed=1)
+        assert generate_scene(2.0, 10.0, seed=1) == generate_scene(2, 10, seed=1)
+
     @pytest.mark.parametrize("pair", [(50.0, 60.0, 70.0), (50.0,), ()])
     def test_area_and_extent_need_exactly_two_values(self, pair):
         with pytest.raises(ValueError, match="area must be two positive finite values"):
