@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 from typing import Any
 
 from .evaluate import BenchmarkConfig, run_benchmark, write_histogram_csv
-from .posegraph import SolverParams, build_pose_graph, optimize, relative_poses
+from .posegraph import SolverParams, build_pose_graph, optimize, relative_poses, whole_number
 from .scenario import (
     DetectorSpec,
     NoiseSpec,
@@ -96,8 +96,12 @@ def _build(cls: type, kwargs: dict, what: str) -> Any:
         raise UsageError(f"{what}: {exc}") from exc
 
 
-def _benchmark_config(cfg: dict, seed: int) -> BenchmarkConfig:
-    """The BenchmarkConfig of a merged config table; every command reads its values through it."""
+def _setup(args: argparse.Namespace, default_seed: int | None = None) -> tuple[BenchmarkConfig, dict]:
+    """A command's BenchmarkConfig, its seed from --seed, else the config, else default_seed; and the config table."""
+    cfg = _merge_config(args.config)
+    seed = next((s for s in (args.seed, cfg["seed"], default_seed) if s is not None), None)
+    if seed is None:
+        raise UsageError("a seed is required (--seed or config 'seed')")
     kwargs = {}
     for f in fields(BenchmarkConfig):
         node, key = _slot(cfg, f.name)
@@ -105,42 +109,30 @@ def _benchmark_config(cfg: dict, seed: int) -> BenchmarkConfig:
     kwargs["seed"] = seed
     for key, cls in (("detector", DetectorSpec), ("solver", SolverParams)):
         kwargs[key] = _build(cls, cfg[key], f"config field {key!r}")
-    return _build(BenchmarkConfig, kwargs, "invalid config")
-
-
-def _require_seed(cfg: dict, args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    if seed is None:
-        raise UsageError("a seed is required (--seed or config 'seed')")
-    return int(seed)
+    return _build(BenchmarkConfig, kwargs, "invalid config"), cfg
 
 
 def _thread_count(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, int(args.threads))
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"{ENV_THREADS} must be an integer, got {env!r}") from exc
-    return 1
+    """Worker processes from --threads, else $AGENTPOSE_THREADS, else 1, by run_benchmark's rule."""
+    env = os.environ.get(ENV_THREADS) or 1  # unset or empty: one worker
+    name, value = ("--threads", args.threads) if args.threads is not None else (ENV_THREADS, env)
+    try:
+        return whole_number(value, name, 1)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args.config)
-    seed = _require_seed(cfg, args)
-    config = _benchmark_config(cfg, seed)
-    scene = config.scene(seed)
+    config, _ = _setup(args)
     out = args.out or "scene.json"
-    save_json(scene_to_dict(scene), out)
-    print(f"seed: {seed}")
+    save_json(scene_to_dict(config.scene(config.seed)), out)
+    print(f"seed: {config.seed}")
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args.config)
+    config, cfg = _setup(args, default_seed=0)
     try:
         scene = scene_from_dict(load_json(args.scene))
     except OSError as exc:
@@ -150,11 +142,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     ego = args.ego or cfg["ego"] or scene.agents[0].agent_id
     if all(a.agent_id != ego for a in scene.agents):
         raise UsageError(f"ego agent {ego!r} not present in scene")
-    seed = args.seed if args.seed is not None else (cfg["seed"] if cfg["seed"] is not None else 0)
-    config = _benchmark_config(cfg, int(seed))
     noise = _build(NoiseSpec, cfg["noise"], "config field 'noise'")
 
-    messages = make_messages(scene, noise, config.detector, int(seed))
+    messages = make_messages(scene, noise, config.detector, config.seed)
     graph = build_pose_graph(messages, ego, center_gap=config.cluster_gap)
     result = optimize(graph, config.solver)
     rel = relative_poses(result.agent_poses, ego)
@@ -163,7 +153,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "type": "solve_result",
         "version": 1,
         "ego": ego,
-        "seed": int(seed),
+        "seed": config.seed,
         "measured_poses": {m.agent_id: [m.measured_pose.x, m.measured_pose.y, m.measured_pose.theta] for m in messages},
         "corrected_global_poses": {aid: [p.x, p.y, p.theta] for aid, p in result.agent_poses.items()},
         "corrected_relative_poses": {aid: [p.x, p.y, p.theta] for aid, p in rel.items()},
@@ -190,8 +180,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args.config)
-    config = _benchmark_config(cfg, _require_seed(cfg, args))
+    config, _ = _setup(args)
     result = run_benchmark(config, threads=_thread_count(args))
     stem = args.out or "benchmark"
     if stem.endswith(".json"):

@@ -223,10 +223,11 @@ class BenchmarkConfig:
     ap_thresholds: tuple[float, ...] = (0.5, 0.7)
 
     def __post_init__(self) -> None:
-        """Checks scenes and noise_grid itself, and every other value with the rule of the call it configures."""
+        """Checks seed, scenes and noise_grid itself, and every other value with the rule of the call it configures."""
         scene = scene_arguments(self.num_agents, self.num_objects, self.area, self.extent, self.min_object_gap)
         checked = dict(
             zip(("num_agents", "num_objects", "area", "extent", "min_object_gap"), scene),
+            seed=whole_number(self.seed, "seed", 0),
             scenes=whole_number(self.scenes, "scenes", 1),
             noise_grid=tuple((float(t), float(r)) for t, r in self.noise_grid),
             cluster_gap=positive_finite(self.cluster_gap, "cluster_gap"),
@@ -322,7 +323,7 @@ def _ground_truth_columns(scene: Scene, ego_id: str) -> np.ndarray:
     """The scene's objects in the ego frame as (n, 5) columns cx, cy, length, width, heading."""
     obj = _object_columns(scene)
     frame = inverse(scene.agent(ego_id).pose).as_tuple()
-    x, y, theta = compose_columns(frame, np.zeros(len(obj), dtype=np.intp), *obj[:, :3].T)
+    x, y, theta = compose_columns(frame, 0, *obj[:, :3].T)
     return np.stack((x, y, obj[:, 3], obj[:, 4], theta), axis=1)
 
 
@@ -435,9 +436,11 @@ def _level_report(config: BenchmarkConfig, level: int, records: list[dict]) -> E
 def run_benchmark(config: BenchmarkConfig, threads: int = 1) -> BenchmarkResult:
     """Run the full noise grid; scene failures are recorded and skipped.
 
-    With threads > 1 scenes are evaluated in a process pool; results are
-    assembled by scene index, so the report is identical to a serial run.
+    threads is a whole number >= 1. With threads > 1 scenes are evaluated in a
+    process pool; results are assembled by scene index, so the report is
+    identical to a serial run.
     """
+    threads = whole_number(threads, "threads", 1)
     jobs = [(config, level, scene_idx) for level in range(len(config.noise_grid)) for scene_idx in range(config.scenes)]
     if threads > 1:
         # Imported on first use: multiprocessing adds about 20 ms to importing the package.

@@ -83,18 +83,20 @@ def _cos_sin(theta: np.ndarray) -> np.ndarray:
 
 
 def compose_columns(
-    frames: np.ndarray, owner: np.ndarray, x: np.ndarray, y: np.ndarray, theta: np.ndarray
+    frames: np.ndarray, owner: np.ndarray | int, x: np.ndarray, y: np.ndarray, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """compose(frames[owner[i]], Pose2(x[i], y[i], theta[i])) for every i, as three columns.
 
-    frames holds (x, y, theta) rows, headings wrapped. Each frame's cosine and
-    sine come from math.cos and math.sin once, and the products and sums run
-    in compose's order, so every entry has the bits of the scalar compose.
-    Raises ValueError, as Pose2 does, if a translation is not finite.
+    frames holds (x, y, theta) rows, headings wrapped. A single frame may be
+    passed with owner 0: its one row then broadcasts over every entry. Each
+    frame's cosine and sine come from math.cos and math.sin once (_cos_sin),
+    and the products and sums run in compose's order, so every entry has the
+    bits of the scalar compose. Raises ValueError, as Pose2 does, if a
+    translation is not finite.
     """
-    fx, fy, ft, c, s = np.array(
-        [(x0, y0, t0, math.cos(t0), math.sin(t0)) for x0, y0, t0 in np.reshape(frames, (-1, 3)).tolist()], dtype=float
-    ).reshape(-1, 5)[owner].T
+    frames = np.asarray(frames, dtype=float).reshape(-1, 3)
+    fx, fy, ft = frames[owner].T
+    c, s = _cos_sin(frames[:, 2])[owner].T
     with np.errstate(over="ignore", invalid="ignore"):  # reported as the ValueError below
         gx = fx + c * x - s * y
         gy = fy + s * x + c * y

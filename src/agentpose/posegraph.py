@@ -78,10 +78,14 @@ class AgentMessage:
 
 
 def whole_number(value, name: str, minimum: int) -> int:
-    """value as an int; ValueError unless it is a whole number >= minimum (a float such as 10.0 is one)."""
-    if isinstance(value, float) and not value.is_integer() or int(value) < minimum:
+    """value as an int; ValueError naming it unless it is a whole number >= minimum (10.0 and "10" are ones)."""
+    try:
+        whole = None if isinstance(value, float) and not value.is_integer() else int(value)
+    except (TypeError, ValueError):
+        whole = None
+    if whole is None or whole < minimum:
         raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
-    return int(value)
+    return whole
 
 
 def positive_finite(value, name: str) -> float:
@@ -569,10 +573,9 @@ def optimize(graph: PoseGraph, params: SolverParams = SolverParams()) -> SolveRe
                 trials += 1
                 try:
                     delta = _schur_step(*blocks, lam)
+                    if not np.all(np.isfinite(delta)):
+                        raise np.linalg.LinAlgError("non-finite step")
                 except np.linalg.LinAlgError:
-                    lam *= params.damping_increase
-                    continue
-                if not np.all(np.isfinite(delta)):
                     lam *= params.damping_increase
                     continue
                 candidate = prob.apply_step(poses, delta)

@@ -271,7 +271,7 @@ def _detect_block(
     -0.0, as the scalar max(c, 0.0) does.
     """
     frame = inverse(agent_pose).as_tuple()
-    lx, ly, lt = compose_columns(frame, np.zeros(len(objects), dtype=np.intp), *objects[:, :3].T)
+    lx, ly, lt = compose_columns(frame, 0, *objects[:, :3].T)
     inside = np.flatnonzero((np.abs(lx) <= extent[0]) & (np.abs(ly) <= extent[1]))
     rnd, normal, choices = rng.random, rng.standard_normal, spec.noise_scale_choices
     kept: list[int] = []

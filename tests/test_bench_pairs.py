@@ -1,11 +1,13 @@
-"""tools/bench_pairs.py: pairing, alternation, worktree clean-up, set-up
+"""tools/bench_pairs.py: pairing, alternation, the base export, set-up
 probes and the gain and bound rules, checked with perfbench and git replaced
 by canned output."""
 
 import importlib.util
+import io
 import json
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -36,13 +38,20 @@ def root(tmp_path, monkeypatch):
     return tmp_path
 
 
+def git_archive(cmd):
+    """The canned output of `git archive`: a tar with no members."""
+    buffer = io.BytesIO()
+    tarfile.open(fileobj=buffer, mode="w").close()
+    return subprocess.CompletedProcess(cmd, 0, buffer.getvalue(), b"")
+
+
 def fake_run(values_for, calls):
-    """subprocess.run stand-in: git succeeds; perfbench prints values_for(side, seed)."""
+    """subprocess.run stand-in: git archive succeeds; perfbench prints values_for(side, seed)."""
 
     def run(cmd, **kwargs):
         if cmd[0] == "git":
             calls.append(("git", *cmd[1:3]))
-            return subprocess.CompletedProcess(cmd, 0, "", "")
+            return git_archive(cmd)
         side = "change" if Path(cmd[1]).parents[1] == bench_record.ROOT else "base"
         seed = int(cmd[cmd.index("--seed") + 1])
         assert cmd[cmd.index("--trace") + 1] == "0" and cmd[cmd.index("--seconds") + 1] == "45.0"
@@ -60,7 +69,7 @@ def fake_run(values_for, calls):
     return run
 
 
-def test_pairs_alternate_and_the_worktree_is_removed(root, monkeypatch, capsys):
+def test_pairs_alternate_after_one_git_archive(root, monkeypatch, capsys):
     calls = []
 
     def values_for(side, seed):
@@ -68,9 +77,8 @@ def test_pairs_alternate_and_the_worktree_is_removed(root, monkeypatch, capsys):
 
     monkeypatch.setattr(subprocess, "run", fake_run(values_for, calls))
     assert bench_pairs.main(["--base", "HEAD~1", "--workload", "large_round", "--pairs", "4", "--seed", "7"]) == 0
-    assert calls[0][:2] == ("git", "worktree") and calls[0][2] == "add"
-    assert calls[-1] == ("git", "worktree", "remove")
-    assert calls[1:-1] == [
+    assert calls[0] == ("git", "archive", "HEAD~1")
+    assert calls[1:] == [
         ("base", 7), ("change", 7), ("change", 8), ("base", 8),
         ("base", 9), ("change", 9), ("change", 10), ("base", 10),
     ]
@@ -91,28 +99,24 @@ def test_exit_status_is_one_when_a_median_is_worse_than_its_bound(root, monkeypa
     assert "acceptance change: 0 of 300 operations failed, 0 runs exited non-zero" in out
 
 
-def test_worktree_is_removed_when_a_run_fails(root, monkeypatch):
-    calls = []
-
+def test_a_run_without_a_result_stops_the_pairs(root, monkeypatch):
     def broken(cmd, **kwargs):
         if cmd[0] == "git":
-            calls.append(cmd[1:3])
-            return subprocess.CompletedProcess(cmd, 0, "", "")
+            return git_archive(cmd)
         return subprocess.CompletedProcess(cmd, 2, "", "Traceback ...")
 
     monkeypatch.setattr(subprocess, "run", broken)
     with pytest.raises(SystemExit, match="printed no result"):
         bench_pairs.main(["--base", "HEAD~1", "--workload", "large_round", "--pairs", "2", "--seed", "1"])
-    assert calls == [["worktree", "add"], ["worktree", "remove"]]
 
 
 def fake_probe(seconds_for, calls):
-    """subprocess.run stand-in: git succeeds; a set-up probe prints seconds_for(side, seed)."""
+    """subprocess.run stand-in: git archive succeeds; a set-up probe prints seconds_for(side, seed)."""
 
     def run(cmd, **kwargs):
         if cmd[0] == "git":
             calls.append(("git", *cmd[1:3]))
-            return subprocess.CompletedProcess(cmd, 0, "", "")
+            return git_archive(cmd)
         side = "change" if Path(cmd[1]).parents[1] == bench_record.ROOT else "base"
         seed = int(cmd[cmd.index("--seed") + 1])
         assert cmd[-1] == "--setup-only" and cmd[cmd.index("--workload") + 1] == "large_round"
@@ -135,9 +139,8 @@ def test_setup_probes_alternate_and_compare_setup_s_only(root, monkeypatch, caps
     monkeypatch.setattr(subprocess, "run", fake_probe(seconds_for, calls))
     argv = ["--base", "HEAD~1", "--workload", "large_round", "--setup-probes", "10", "--seed", "3"]
     assert bench_pairs.main(argv) == 0
-    assert calls[0] == ("git", "worktree", "add") and calls[-1] == ("git", "worktree", "remove")
     assert calls[1:5] == [("base", 3), ("change", 3), ("change", 4), ("base", 4)]
-    assert len(calls) == 2 + 20
+    assert len(calls) == 1 + 20
     out = capsys.readouterr().out
     assert "setup_s (s), base -> change per seed:" in out and "scene_ms_p90" not in out
     assert "  3: 1.33 -> 0.73" in out
@@ -153,12 +156,12 @@ def test_setup_probes_exit_one_when_setup_is_worse_than_its_bound(root, monkeypa
     assert "change won 0/2; gain holds: no; worse than bound: yes" in capsys.readouterr().out
 
 
-def test_worktree_is_removed_when_a_probe_prints_nothing(root, monkeypatch):
+def test_a_probe_that_prints_nothing_stops_the_probes(root, monkeypatch):
     calls = []
     monkeypatch.setattr(subprocess, "run", fake_probe(lambda side, seed: None if side == "change" else 1.0, calls))
     with pytest.raises(SystemExit, match="set-up probe printed no seconds"):
         bench_pairs.main(["--base", "HEAD~1", "--workload", "large_round", "--setup-probes", "2", "--seed", "1"])
-    assert calls == [("git", "worktree", "add"), ("base", 1), ("change", 1), ("git", "worktree", "remove")]
+    assert calls[1:] == [("base", 1), ("change", 1)]
 
 
 def test_pairs_and_setup_probes_exclude_each_other(root):

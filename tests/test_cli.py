@@ -264,22 +264,67 @@ BAD_CONFIG_VALUES = [
 ]
 
 
+def command_argv(tmp_path, command, config, flags=(), out="out.json"):
+    """argv of command with config written to a file, flags and --out; solve reads a freshly generated scene."""
+    _, scene = run_generate(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command, *flags, "--config", str(cfg), "--out", str(tmp_path / out)]
+    return argv + ["--scene", str(scene)] if command == "solve" else argv
+
+
+def assert_usage_error_and_no_output(tmp_path, capsys, command, config, flags):
+    argv = command_argv(tmp_path, command, config, flags)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert not list(tmp_path.glob("out*"))
+
+
 class TestBadConfigValues:
     @pytest.mark.parametrize("command", ["generate", "solve", "benchmark"])
     @pytest.mark.parametrize("bad", BAD_CONFIG_VALUES)
     def test_usage_error_and_no_output(self, tmp_path, capsys, command, bad):
-        _, scene = run_generate(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(bad))
-        argv = [command, "--seed", "1", "--config", str(cfg), "--out", str(tmp_path / "out.json")]
-        if command == "solve":
-            argv += ["--scene", str(scene)]
-        capsys.readouterr()
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
-        assert not list(tmp_path.glob("out*"))
+        assert_usage_error_and_no_output(tmp_path, capsys, command, bad, ["--seed", "1"])
+
+
+# A seed is a whole number >= 0, from --seed or the config.
+BAD_SEEDS = [
+    pytest.param({"seed": 2.7}, [], id="config_fraction"),
+    pytest.param({"seed": -3}, [], id="config_negative"),
+    pytest.param({"seed": "abc"}, [], id="config_text"),
+    pytest.param({"seed": [1]}, [], id="config_list"),
+    pytest.param({}, ["--seed", "-3"], id="flag_negative"),
+]
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("command", ["generate", "solve", "benchmark"])
+    @pytest.mark.parametrize("config, flags", BAD_SEEDS)
+    def test_usage_error_and_no_output(self, tmp_path, capsys, command, config, flags):
+        assert_usage_error_and_no_output(tmp_path, capsys, command, config, flags)
+
+    @pytest.mark.parametrize("command", ["generate", "solve", "benchmark"])
+    def test_whole_float_seed_writes_the_bytes_of_the_int_seed(self, tmp_path, command):
+        small = {"scenes": 1, "noise_grid": [[0.2, 0.2]]}
+        assert main(command_argv(tmp_path, command, {**small, "seed": 7.0}, out="float.json")) == 0
+        assert main(command_argv(tmp_path, command, small, ["--seed", "7"], out="flag.json")) == 0
+        assert (tmp_path / "float.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags, env",
+    [(["--threads", "0"], None), (["--threads", "-2"], None), ([], "0"), ([], "abc")],
+    ids=["flag_zero", "flag_negative", "env_zero", "env_text"],
+)
+def test_worker_count_is_a_whole_number_of_at_least_one(tmp_path, capsys, monkeypatch, flags, env):
+    if env is None:
+        monkeypatch.delenv("AGENTPOSE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("AGENTPOSE_THREADS", env)
+    assert_usage_error_and_no_output(tmp_path, capsys, "benchmark", {"scenes": 1}, ["--seed", "1", *flags])
 
 
 @pytest.mark.parametrize(

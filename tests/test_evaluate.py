@@ -525,12 +525,16 @@ class TestRunBenchmark:
             BenchmarkConfig()  # type: ignore[call-arg]
 
     def test_whole_number_counts(self):
-        config = BenchmarkConfig(seed=1, scenes=100.0, num_agents=4.0, num_objects=10.0)
-        assert config == BenchmarkConfig(seed=1)
-        assert [type(v) for v in (config.scenes, config.num_agents, config.num_objects)] == [int, int, int]
-        for bad in ({"scenes": 2.7}, {"num_agents": 3.5}, {"num_objects": 9.5}):
-            with pytest.raises(ValueError, match="must be a whole number"):
-                BenchmarkConfig(seed=1, **bad)
+        config = BenchmarkConfig(seed=7.0, scenes=100.0, num_agents=4.0, num_objects=10.0)
+        assert config == BenchmarkConfig(seed=7)
+        assert [type(v) for v in (config.seed, config.scenes, config.num_agents, config.num_objects)] == [int] * 4
+        for bad in ({"scenes": 2.7}, {"num_agents": 3.5}, {"num_objects": 9.5}, {"seed": 2.7}, {"seed": -1}):
+            with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be a whole number"):
+                BenchmarkConfig(**{"seed": 1, **bad})
+
+    def test_worker_count_is_a_whole_number(self):
+        with pytest.raises(ValueError, match="^threads must be a whole number >= 1"):
+            run_benchmark(BenchmarkConfig(seed=1, scenes=1), threads=0)
 
 
 class TestHistograms:

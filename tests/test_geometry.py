@@ -99,6 +99,10 @@ class TestComposeColumns:
         ])
         got = np.column_stack([gx, gy, gt])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # A single frame passed as owner 0 broadcasts its one row.
+        got = np.column_stack(compose_columns(frames[0].as_tuple(), 0, x, y, theta))
+        want = np.array([compose(frames[0], Pose2(*map(float, b))).as_tuple() for b in zip(x, y, theta)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_empty(self):
         empty = np.zeros(0)

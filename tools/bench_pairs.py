@@ -5,10 +5,10 @@ Run from anywhere, on an idle machine:
     python3 tools/bench_pairs.py --base HEAD~1 --workload large_round --pairs 10 --seed 901
     python3 tools/bench_pairs.py --base HEAD~1 --workload large_round --setup-probes 20 --seed 901
 
-The base revision is checked out with ``git worktree add`` into a temporary
-directory, removed again at the end. With ``--pairs N``, pair k runs
-``perfbench/run.py --trace 0`` with seed S+k once in the base checkout and
-once in this one, each for BENCHMARK.json's ``run_seconds``. With
+The base revision is exported with ``git archive`` into a temporary
+directory, so nothing is written under ``.git``. With ``--pairs N``, pair k
+runs ``perfbench/run.py --trace 0`` with seed S+k once in the base copy and
+once in this checkout, each for BENCHMARK.json's ``run_seconds``. With
 ``--setup-probes N``, pair k instead runs one fresh interpreter of
 ``perfbench/run.py --setup-only`` with seed S+k on each side and compares the
 set-up seconds it prints as ``setup_s``: one probe takes seconds where a
@@ -29,11 +29,13 @@ else 0.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -139,17 +141,16 @@ def main(argv=None) -> int:
             return bench_record.run_once(args.workload, 0, seed, seconds, root=root)
 
     seeds = [args.seed + k for k in range(n)]
+    archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         base_root = Path(tmp) / "base"
-        bench_record.git("worktree", "add", "--detach", str(base_root), args.base)
-        try:
-            base, change = [], []
-            for k, seed in enumerate(seeds):
-                sides = [(base_root, base), (ROOT, change)]
-                for root, runs in sides if k % 2 == 0 else sides[::-1]:
-                    runs.append(run(root, seed))
-        finally:
-            bench_record.git("worktree", "remove", "--force", str(base_root))
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base_root, filter="data")
+        base, change = [], []
+        for k, seed in enumerate(seeds):
+            sides = [(base_root, base), (ROOT, change)]
+            for root, runs in sides if k % 2 == 0 else sides[::-1]:
+                runs.append(run(root, seed))
     summary = compare(spec, base, change)
     if args.pairs is not None:
         report_failures(args.workload, base, change)
