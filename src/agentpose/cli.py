@@ -15,7 +15,8 @@ from dataclasses import asdict, fields
 from typing import Any
 
 from .evaluate import BenchmarkConfig, run_benchmark, write_histogram_csv
-from .posegraph import SolverParams, build_pose_graph, optimize, relative_poses, whole_number
+from .geometry import whole_number
+from .posegraph import SolverParams, build_pose_graph, optimize, relative_poses
 from .scenario import (
     DetectorSpec,
     NoiseSpec,

@@ -17,7 +17,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import (
-    OrientedBox2, Pose2, compose, compose_columns, footprint_iou, footprints, inverse, inverse_columns, overlap_pairs,
+    OrientedBox2, Pose2, compose, compose_columns, footprint_iou, footprints, inverse, inverse_columns, non_negative,
+    number, overlap_pairs, positive_finite, whole_number,
 )
 from .posegraph import (
     DEFAULT_CLUSTER_GAP,
@@ -28,9 +29,7 @@ from .posegraph import (
     box_columns,
     build_pose_graph,
     optimize,
-    positive_finite,
     relative_poses,
-    whole_number,
     with_uniform_info,
 )
 from .scenario import (
@@ -75,16 +74,18 @@ def relative_pose_error(estimated: Pose2, truth: Pose2) -> tuple[float, float]:
 
 def nms_iou_bound(value) -> float:
     """value as a float; ValueError unless it is an NMS IoU bound in (0, 1]."""
-    if not 0.0 < float(value) <= 1.0:
+    v = number(value, "nms_iou")
+    if not 0.0 < v <= 1.0:
         raise ValueError(f"nms_iou must be in (0, 1], got {value!r}")
-    return float(value)
+    return v
 
 
 def ap_threshold(value, name: str) -> float:
     """value as a float; ValueError unless it is an AP IoU threshold in (0, 1)."""
-    if not 0.0 < float(value) < 1.0:
+    v = number(value, name)
+    if not 0.0 < v < 1.0:
         raise ValueError(f"{name} must be in (0, 1), got {value!r}")
-    return float(value)
+    return v
 
 
 def _fuse_rows(messages, rel_poses, nms_iou: float) -> tuple[np.ndarray, list[str]]:
@@ -229,7 +230,7 @@ class BenchmarkConfig:
             zip(("num_agents", "num_objects", "area", "extent", "min_object_gap"), scene),
             seed=whole_number(self.seed, "seed", 0),
             scenes=whole_number(self.scenes, "scenes", 1),
-            noise_grid=tuple((float(t), float(r)) for t, r in self.noise_grid),
+            noise_grid=tuple((non_negative(t, "noise_grid"), non_negative(r, "noise_grid")) for t, r in self.noise_grid),
             cluster_gap=positive_finite(self.cluster_gap, "cluster_gap"),
             nms_iou=nms_iou_bound(self.nms_iou),
             ap_thresholds=tuple(ap_threshold(t, "ap_thresholds") for t in self.ap_thresholds),
@@ -238,8 +239,7 @@ class BenchmarkConfig:
             object.__setattr__(self, name, value)
         if not self.noise_grid:
             raise ValueError("noise_grid must not be empty")
-        for level in range(len(self.noise_grid)):
-            self.noise_at(level)  # NoiseSpec checks the kind and both scales
+        NoiseSpec(self.noise_kind)  # checks the kind; the scales were read by NoiseSpec's rule above
 
     def scene(self, seed: int) -> Scene:
         """generate_scene with this config's scene arguments."""

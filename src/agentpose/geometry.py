@@ -1,4 +1,4 @@
-"""SE(2) pose algebra and rotated-box geometry in the bird's-eye-view plane."""
+"""SE(2) pose algebra, rotated-box geometry in the bird's-eye-view plane, and the numeric input rules."""
 
 from __future__ import annotations
 
@@ -8,6 +8,45 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+
+def number(value, name: str) -> float:
+    """value as a float; ValueError naming it unless float() reads it and it is no bool (JSON true is not 1.0)."""
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _rule(holds, requirement: str):
+    """A rule: number(value, name), a -0.0 as 0.0; ValueError naming it unless holds(the float) is true."""
+
+    def rule(value, name: str) -> float:
+        v = number(value, name)
+        if not holds(v):
+            raise ValueError(f"{name} must be {requirement}, got {value!r}")
+        return v + 0.0
+
+    return rule
+
+
+finite_number = _rule(math.isfinite, "finite")
+positive_finite = _rule(lambda v: 0.0 < v < math.inf, "positive and finite")
+non_negative = _rule(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+unit_interval = _rule(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
+def whole_number(value, name: str, minimum: int) -> int:
+    """value as an int; ValueError naming it unless it is a whole number >= minimum (10.0 and "10" are; True is not)."""
+    try:
+        whole = None if isinstance(value, float) and not value.is_integer() else int(value)
+    except (TypeError, ValueError):
+        whole = None
+    if whole is None or whole < minimum or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return whole
 
 
 def normalize_angle(theta: float) -> float:
@@ -134,17 +173,10 @@ class OrientedBox2:
     heading: float
 
     def __post_init__(self) -> None:
-        cx, cy = float(self.cx), float(self.cy)
-        length, width = float(self.length), float(self.width)
-        if not all(math.isfinite(v) for v in (cx, cy, length, width)):
-            raise ValueError("box fields must be finite")
-        if length <= 0.0 or width <= 0.0:
-            raise ValueError(f"box sides must be positive, got {length} x {width}")
-        object.__setattr__(self, "cx", cx)
-        object.__setattr__(self, "cy", cy)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "heading", normalize_angle(self.heading))
+        rules = {"cx": finite_number, "cy": finite_number, "length": positive_finite, "width": positive_finite}
+        for name, rule in rules.items():
+            object.__setattr__(self, name, rule(getattr(self, name), f"OrientedBox2.{name}"))
+        object.__setattr__(self, "heading", normalize_angle(number(self.heading, "OrientedBox2.heading")))
 
 
 def _polygon_area(poly: list[tuple[float, float]]) -> float:

@@ -16,7 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Pose2, _cos_sin, close_pairs, compose, compose_columns, inverse, wrap_angles
+from .geometry import (
+    Pose2, _cos_sin, close_pairs, compose, compose_columns, inverse, positive_finite, whole_number, wrap_angles,
+)
 # information_matrix and transform_box are not called here; both stay bound as names
 # in perfbench/tracing.py's INTERCEPTED table, which rebinds them in this module.
 from .uncertainty import BoxDetection, information_matrix, transform_box  # noqa: F401
@@ -75,24 +77,6 @@ class AgentMessage:
     def boxes(self) -> tuple[BoxDetection, ...]:
         """The boxes as BoxDetection views of the sender, built from the block on first read."""
         return tuple(BoxDetection(*row, agent_id=self.agent_id) for row in self.block.tolist())
-
-
-def whole_number(value, name: str, minimum: int) -> int:
-    """value as an int; ValueError naming it unless it is a whole number >= minimum (10.0 and "10" are ones)."""
-    try:
-        whole = None if isinstance(value, float) and not value.is_integer() else int(value)
-    except (TypeError, ValueError):
-        whole = None
-    if whole is None or whole < minimum:
-        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
-    return whole
-
-
-def positive_finite(value, name: str) -> float:
-    """value as a float; ValueError unless it is positive and finite."""
-    if not 0.0 < float(value) < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
 
 
 def box_columns(messages: Sequence[AgentMessage]) -> tuple[list[AgentMessage], np.ndarray, np.ndarray]:
@@ -191,15 +175,11 @@ class SolverParams:
     gradient_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if any(isinstance(v, float) and not math.isfinite(v) for v in (getattr(self, f.name) for f in fields(self))):
-            raise ValueError("solver parameters must be finite")
         object.__setattr__(self, "max_iterations", whole_number(self.max_iterations, "max_iterations", 1))
-        if self.initial_damping <= 0.0:
-            raise ValueError("initial_damping must be positive")
-        if self.damping_increase <= 1.0 or not 0.0 < self.damping_decrease < 1.0:
+        for name in ("initial_damping", "damping_increase", "damping_decrease", "convergence_tol", "gradient_tol"):
+            object.__setattr__(self, name, positive_finite(getattr(self, name), name))
+        if self.damping_increase <= 1.0 or self.damping_decrease >= 1.0:
             raise ValueError("damping factors must satisfy increase > 1, 0 < decrease < 1")
-        if self.convergence_tol <= 0.0 or self.gradient_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True, eq=False)

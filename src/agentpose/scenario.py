@@ -10,13 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Pose2, compose_columns, inverse
-from .posegraph import BOX_WIDTH, AgentMessage, positive_finite, whole_number
+from .geometry import Pose2, compose_columns, inverse, non_negative, number, positive_finite, unit_interval, whole_number
+from .posegraph import BOX_WIDTH, AgentMessage
 
 # Reported variances are floored so zero-noise runs still produce valid
 # (positive definite) information weights.
@@ -42,7 +42,7 @@ class ScenarioError(RuntimeError):
 
 def positive_pair(value, name: str) -> tuple[float, float]:
     """value as a pair of floats; ValueError unless it holds exactly two positive finite values."""
-    pair = tuple(float(v) for v in value)
+    pair = tuple(number(v, name) for v in value)
     if len(pair) != 2 or not all(0.0 < v < math.inf for v in pair):
         raise ValueError(f"{name} must be two positive finite values")
     return pair
@@ -51,11 +51,9 @@ def positive_pair(value, name: str) -> tuple[float, float]:
 def scene_arguments(num_agents, num_objects, area, extent, min_object_gap) -> tuple[int, int, tuple, tuple, float]:
     """generate_scene's arguments as it uses them; ValueError unless the counts are whole numbers, at least
     one agent and no negative object count, area and extent positive_pairs and min_object_gap finite and >= 0."""
-    if not 0.0 <= float(min_object_gap) < math.inf:
-        raise ValueError(f"min_object_gap must be finite and >= 0, got {min_object_gap!r}")
     return (
         whole_number(num_agents, "num_agents", 1), whole_number(num_objects, "num_objects", 0),
-        positive_pair(area, "area"), positive_pair(extent, "extent"), float(min_object_gap),
+        positive_pair(area, "area"), positive_pair(extent, "extent"), non_negative(min_object_gap, "min_object_gap"),
     )
 
 
@@ -113,10 +111,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in (_GAUSSIAN, _LAPLACE):
             raise ValueError(f"noise kind must be gaussian or laplace, got {self.kind!r}")
-        if not (math.isfinite(self.trans_scale) and math.isfinite(self.rot_scale)):
-            raise ValueError("noise scales must be finite")
-        if self.trans_scale < 0.0 or self.rot_scale < 0.0:
-            raise ValueError("noise scales must be >= 0")
+        object.__setattr__(self, "trans_scale", non_negative(self.trans_scale, "trans_scale"))
+        object.__setattr__(self, "rot_scale", non_negative(self.rot_scale, "rot_scale"))
 
 
 @dataclass(frozen=True)
@@ -141,22 +137,13 @@ class DetectorSpec:
     noise_scale_choices: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if any(isinstance(v, float) and not math.isfinite(v) for v in (getattr(self, f.name) for f in fields(self))):
-            raise ValueError("detector values must be finite")
-        if self.detection_range <= 0.0:
-            raise ValueError("detection_range must be positive")
-        if not 0.0 <= self.miss_rate <= 1.0:
-            raise ValueError("miss_rate must be in [0, 1]")
-        if self.center_noise_sd < 0.0 or self.heading_noise_sd < 0.0:
-            raise ValueError("noise standard deviations must be >= 0")
-        if self.variance_calibration <= 0.0:
-            raise ValueError("variance_calibration must be positive")
-        if not 0.0 <= self.base_confidence <= 1.0:
-            raise ValueError("base_confidence must be in [0, 1]")
-        if self.confidence_decay < 0.0:
-            raise ValueError("confidence_decay must be >= 0")
-        for name in ("center_noise_sd", "heading_noise_sd", "base_confidence"):
-            object.__setattr__(self, name, getattr(self, name) + 0.0)  # a -0.0 passes the checks; store 0.0
+        rules = {
+            "detection_range": positive_finite, "miss_rate": unit_interval, "center_noise_sd": non_negative,
+            "heading_noise_sd": non_negative, "variance_calibration": positive_finite,
+            "base_confidence": unit_interval, "confidence_decay": non_negative,
+        }
+        for name, rule in rules.items():
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         if self.noise_scale_choices is not None:
             choices = tuple(positive_finite(c, "noise_scale_choices") for c in self.noise_scale_choices)
             if not choices:
@@ -343,8 +330,8 @@ def make_messages(
 
 def _pose_from_list(v, where: str) -> Pose2:
     if not isinstance(v, (list, tuple)) or len(v) != 3:
-        raise ValueError(f"{where}: pose must be [x, y, theta]")
-    return Pose2(float(v[0]), float(v[1]), float(v[2]))
+        raise ValueError(f"{where} must be [x, y, theta]")
+    return Pose2(*(number(c, f"{where}[{k}]") for k, c in enumerate(v)))
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -365,29 +352,28 @@ def scene_from_dict(data: dict) -> Scene:
         raise ValueError("scene: expected an object with type == 'scene'")
     try:
         agents = tuple(
-            SceneAgent(str(a["id"]), _pose_from_list(a["pose"], f"scene.agents[{i}]"))
+            SceneAgent(str(a["id"]), _pose_from_list(a["pose"], f"scene.agents[{i}].pose"))
             for i, a in enumerate(data["agents"])
         )
         objects = tuple(
             SceneObject(
                 str(o["id"]),
-                _pose_from_list(o["pose"], f"scene.objects[{i}]"),
-                float(o["length"]),
-                float(o["width"]),
+                _pose_from_list(o["pose"], f"scene.objects[{i}].pose"),
+                positive_finite(o["length"], f"scene.objects[{i}].length"),
+                positive_finite(o["width"], f"scene.objects[{i}].width"),
             )
             for i, o in enumerate(data["objects"])
         )
-        extent = (float(data["extent"][0]), float(data["extent"][1]))
+        return Scene(agents=agents, objects=objects, extent=data["extent"])
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"scene: malformed field ({exc!r})") from exc
-    return Scene(agents=agents, objects=objects, extent=extent)
 
 
 def _box_row(vec, confidence: float) -> list[float]:
     """One block row from a wire box vector and its confidence."""
     if len(vec) != 10:
         raise ValueError(f"box vector must have 10 fields, got {len(vec)}")
-    return [float(v) for v in vec] + [confidence]
+    return [number(v, f"box vector b[{k}]") for k, v in enumerate(vec)] + [confidence]
 
 
 def messages_to_dict(messages: Sequence[AgentMessage]) -> dict:
@@ -412,9 +398,9 @@ def messages_from_dict(data: dict) -> list[AgentMessage]:
     try:
         for i, m in enumerate(data["messages"]):
             aid = str(m["agent_id"])
-            rows = [_box_row(b["b"], float(b["confidence"])) for b in m["boxes"]]
+            rows = [_box_row(b["b"], number(b["confidence"], "box confidence")) for b in m["boxes"]]
             block = np.array(rows, dtype=float).reshape(-1, BOX_WIDTH)
-            out.append(AgentMessage(aid, _pose_from_list(m["measured_pose"], f"messages[{i}]"), block))
+            out.append(AgentMessage(aid, _pose_from_list(m["measured_pose"], f"messages[{i}].measured_pose"), block))
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"messages: malformed field ({exc!r})") from exc
     return out

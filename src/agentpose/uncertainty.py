@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .geometry import Pose2, OrientedBox2, compose, normalize_angle
+from .geometry import (
+    Pose2, OrientedBox2, compose, finite_number, non_negative, normalize_angle, number, positive_finite, unit_interval,
+)
 
 # Power series below this argument, asymptotic expansion above.
 _BESSEL_SERIES_CUTOFF = 15.0
@@ -45,8 +47,7 @@ def _bessel_asymptotic_poly(x: float, order: int) -> float:
 
 def log_bessel_i0(x: float) -> float:
     """log of the order-0 modified Bessel function of the first kind, overflow safe."""
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"log_bessel_i0 requires finite x >= 0, got {x!r}")
+    x = non_negative(x, "log_bessel_i0's x")
     if x <= _BESSEL_SERIES_CUTOFF:
         return math.log(_bessel_series(x, 0))
     return x - 0.5 * math.log(math.tau * x) + math.log(_bessel_asymptotic_poly(x, 0))
@@ -54,8 +55,7 @@ def log_bessel_i0(x: float) -> float:
 
 def bessel_i1_over_i0(x: float) -> float:
     """Ratio I1(x)/I0(x), the derivative of log_bessel_i0."""
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"bessel_i1_over_i0 requires finite x >= 0, got {x!r}")
+    x = non_negative(x, "bessel_i1_over_i0's x")
     if x <= _BESSEL_SERIES_CUTOFF:
         return 0.5 * x * _bessel_series(x, 1) / _bessel_series(x, 0)
     return _bessel_asymptotic_poly(x, 1) / _bessel_asymptotic_poly(x, 0)
@@ -66,11 +66,8 @@ def gaussian_center_loss(x_hat: float, var: float, x0: float) -> tuple[float, tu
 
     Returns (loss, (d_loss/d_x_hat, d_loss/d_var)).
     """
-    if not (math.isfinite(x_hat) and math.isfinite(var) and math.isfinite(x0)):
-        raise ValueError("gaussian_center_loss requires finite inputs")
-    if var <= 0.0:
-        raise ValueError(f"variance must be positive, got {var!r}")
-    d = x_hat - x0
+    d = finite_number(x_hat, "x_hat") - finite_number(x0, "x0")
+    var = positive_finite(var, "var")
     loss = d * d / (2.0 * var) + 0.5 * math.log(var)
     grad = (d / var, -d * d / (2.0 * var * var) + 0.5 / (var))
     return loss, grad
@@ -90,12 +87,11 @@ def von_mises_angle_loss(
 
     Returns (loss, (d_loss/d_theta_hat, d_loss/d_s)).
     """
-    if not (math.isfinite(theta_hat) and math.isfinite(s) and math.isfinite(theta0)):
-        raise ValueError("von_mises_angle_loss requires finite inputs")
+    delta = finite_number(theta_hat, "theta_hat") - finite_number(theta0, "theta0")
+    s = finite_number(s, "s")
     if s < _MIN_LOG_VARIANCE:
         raise ValueError(f"log-variance {s!r} would overflow exp(-s)")
     kappa = math.exp(-s)
-    delta = theta_hat - theta0
     c = math.cos(delta)
     cterm = abs(c) if absolute_cosine else c
     loss = log_bessel_i0(kappa) - kappa * cterm
@@ -107,11 +103,8 @@ def von_mises_angle_loss(
 
 def elu_regularizer(s: float, c: float = 1.0, weight: float = 0.01) -> float:
     """ELU penalty weight*ELU(s - c), linear above the threshold c."""
-    if not (math.isfinite(s) and math.isfinite(c) and math.isfinite(weight)):
-        raise ValueError("elu_regularizer requires finite inputs")
-    if weight < 0.0:
-        raise ValueError(f"weight must be >= 0, got {weight!r}")
-    z = s - c
+    z = finite_number(s, "s") - finite_number(c, "c")
+    weight = non_negative(weight, "weight")
     if z >= 0.0:
         return weight * z
     return weight * (math.exp(z) - 1.0)
@@ -140,18 +133,14 @@ class BoxDetection:
     agent_id: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("cx", "cy", "cz", "length", "width", "height", "var_x", "var_y", "var_theta", "confidence"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"BoxDetection.{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-        if self.length <= 0.0 or self.width <= 0.0 or self.height <= 0.0:
-            raise ValueError("box dimensions must be positive")
-        if self.var_x <= 0.0 or self.var_y <= 0.0 or self.var_theta <= 0.0:
-            raise ValueError("box variances must be positive")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence!r}")
-        object.__setattr__(self, "theta", normalize_angle(self.theta))
+        for rule, names in (
+            (finite_number, ("cx", "cy", "cz")),
+            (positive_finite, ("length", "width", "height", "var_x", "var_y", "var_theta")),
+            (unit_interval, ("confidence",)),
+        ):
+            for name in names:
+                object.__setattr__(self, name, rule(getattr(self, name), f"BoxDetection.{name}"))
+        object.__setattr__(self, "theta", normalize_angle(number(self.theta, "BoxDetection.theta")))
 
     def local_pose(self) -> Pose2:
         return Pose2(self.cx, self.cy, self.theta)

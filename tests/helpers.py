@@ -3,12 +3,15 @@ problem instances, the independent least-squares solve used to cross-check
 the optimizer, the dense Jacobian and normal equations that the solver's
 blocks are checked against, the scalar graph build, late fusion, AP match,
 box IoU, pair errors, detector and object placement that the columnar ones
-are checked against, and the message block builder of the tests."""
+are checked against, the message block builder of the tests, and the
+scene-file fields that scene_from_dict must refuse."""
 
+import copy
 import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy.optimize import least_squares
 
 from agentpose.evaluate import relative_pose_error
@@ -351,3 +354,28 @@ def scalar_detect(scene, agent_id, spec, rng):
             var_center, var_center, var_heading, confidence,
         ])
     return out
+
+
+# One field of a generated scene file set to a value scene_from_dict refuses:
+# (path of keys and indices to the field, the value, how the error starts).
+_LENGTH = ("objects", 0, "length")
+_LENGTH_RULE = "scene.objects[0].length must be positive and finite"
+BAD_SCENE_FIELDS = [
+    pytest.param(_LENGTH, -4.0, _LENGTH_RULE, id="length_negative"),
+    pytest.param(_LENGTH, 0.0, _LENGTH_RULE, id="length_zero"),
+    pytest.param(_LENGTH, math.nan, _LENGTH_RULE, id="length_nan"),
+    pytest.param(("objects", 1, "width"), -1.9, "scene.objects[1].width must be positive and finite", id="width_negative"),
+    pytest.param(("extent",), [140.0, 140.0, 140.0], "extent must be two positive finite values", id="extent_three_values"),
+    pytest.param(("agents", 1, "pose", 0), True, "scene.agents[1].pose[0] must be a number", id="pose_true"),
+]
+
+
+def with_field(data: dict, path: tuple, value) -> dict:
+    """A deep copy of JSON data with the field at path (keys and indices) set to value."""
+    data = copy.deepcopy(data)
+    *parents, last = path
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return data

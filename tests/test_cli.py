@@ -19,6 +19,8 @@ from agentpose.scenario import (
     scene_from_dict,
 )
 
+from helpers import BAD_SCENE_FIELDS, with_field
+
 
 def run_generate(tmp_path, seed=1, extra=()):
     out = tmp_path / "scene.json"
@@ -148,6 +150,18 @@ class TestSolve:
         assert rc == 1
         assert "malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value, message", BAD_SCENE_FIELDS)
+    def test_bad_scene_field_is_one_error_line(self, tmp_path, capsys, path, value, message):
+        _, scene_path = run_generate(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(with_field(load_json(str(scene_path)), path, value)))
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main(["solve", "--scene", str(bad), "--seed", "0", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: scene {bad}: {message}")
+        assert len(captured.err.splitlines()) == 1 and not out.exists()
+
     def test_missing_scene_file(self, tmp_path):
         rc = main(["solve", "--scene", str(tmp_path / "nope.json"), "--seed", "0"])
         assert rc == 1
@@ -261,6 +275,13 @@ BAD_CONFIG_VALUES = [
     pytest.param({"agents": 3.5}, id="agents_fraction"),
     pytest.param({"objects": 9.5}, id="objects_fraction"),
     pytest.param({"solver": {"max_iterations": 2.5}}, id="max_iterations_fraction"),
+    # JSON true and false are not numbers: float() and int() would read them as 1 and 0.
+    pytest.param({"agents": True}, id="agents_true"),
+    pytest.param({"detector": {"miss_rate": True}}, id="miss_rate_true"),
+    pytest.param({"noise_grid": [[True, 0.6]]}, id="noise_grid_true"),
+    pytest.param({"solver": {"max_iterations": True}}, id="max_iterations_true"),
+    pytest.param({"cluster_gap": True}, id="cluster_gap_true"),
+    pytest.param({"nms_iou": True}, id="nms_iou_true"),
 ]
 
 
@@ -296,6 +317,7 @@ BAD_SEEDS = [
     pytest.param({"seed": -3}, [], id="config_negative"),
     pytest.param({"seed": "abc"}, [], id="config_text"),
     pytest.param({"seed": [1]}, [], id="config_list"),
+    pytest.param({"seed": True}, [], id="config_true"),
     pytest.param({}, ["--seed", "-3"], id="flag_negative"),
 ]
 

@@ -528,9 +528,25 @@ class TestRunBenchmark:
         config = BenchmarkConfig(seed=7.0, scenes=100.0, num_agents=4.0, num_objects=10.0)
         assert config == BenchmarkConfig(seed=7)
         assert [type(v) for v in (config.seed, config.scenes, config.num_agents, config.num_objects)] == [int] * 4
-        for bad in ({"scenes": 2.7}, {"num_agents": 3.5}, {"num_objects": 9.5}, {"seed": 2.7}, {"seed": -1}):
+        for bad in (
+            {"scenes": 2.7}, {"num_agents": 3.5}, {"num_objects": 9.5}, {"seed": 2.7}, {"seed": -1},
+            {"seed": True}, {"scenes": True},  # JSON true is not a number
+        ):
             with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be a whole number"):
                 BenchmarkConfig(**{"seed": 1, **bad})
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: BenchmarkConfig(seed=1, cluster_gap=True), "cluster_gap"),
+            (lambda: BenchmarkConfig(seed=1, noise_grid=((True, 0.6),)), "noise_grid"),
+            (lambda: DetectorSpec(miss_rate=True), "miss_rate"),
+        ],
+        ids=["cluster_gap", "noise_grid", "miss_rate"],
+    )
+    def test_json_true_is_not_a_number(self, make, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got True"):
+            make()
 
     def test_worker_count_is_a_whole_number(self):
         with pytest.raises(ValueError, match="^threads must be a whole number >= 1"):

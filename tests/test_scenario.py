@@ -4,6 +4,7 @@ wire formats."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from agentpose.scenario import (
     scene_to_dict,
 )
 from agentpose.uncertainty import BoxDetection
-from helpers import box_block, scalar_detect, scalar_generate_scene
+from helpers import BAD_SCENE_FIELDS, box_block, scalar_detect, scalar_generate_scene, with_field
 
 
 # Half sides of the areas the tests and perfbench place in, as generate_scene
@@ -157,7 +158,7 @@ class TestGenerateScene:
             generate_scene(1, 500, area=(20.0, 20.0), extent=(1.0, 2.0, 3.0))
 
     def test_counts_must_be_whole_numbers(self):
-        for agents, objects in ((2.5, 3), (2, 3.5), (2, math.nan), (math.inf, 3)):
+        for agents, objects in ((2.5, 3), (2, 3.5), (2, math.nan), (math.inf, 3), (True, 3)):
             with pytest.raises(ValueError, match="must be a whole number"):
                 generate_scene(agents, objects, seed=1)
         assert generate_scene(2.0, 10.0, seed=1) == generate_scene(2, 10, seed=1)
@@ -246,6 +247,8 @@ class TestCorruptPose:
             NoiseSpec(kind="cauchy")
         with pytest.raises(ValueError):
             NoiseSpec(trans_scale=-0.1)
+        with pytest.raises(ValueError, match="^trans_scale must be a number, got True"):
+            NoiseSpec(trans_scale=True)
 
 
 def one_object_scene(object_pose=Pose2(20.0, 5.0, 0.8)) -> Scene:
@@ -581,6 +584,21 @@ class TestJsonFormats:
             scene_from_dict({"type": "nope"})
         with pytest.raises(ValueError, match="malformed"):
             scene_from_dict({"type": "scene", "version": 1, "agents": [{"id": "a"}], "objects": [], "extent": [1, 1]})
+
+    @pytest.mark.parametrize("path, value, message", BAD_SCENE_FIELDS)
+    def test_bad_scene_field_is_named(self, path, value, message):
+        data = with_field(scene_to_dict(generate_scene(3, 5, seed=21)), path, value)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            scene_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, message", [(("b", 3), "box vector b[3]"), (("confidence",), "box confidence")], ids=["b", "confidence"]
+    )
+    def test_box_number_is_no_bool(self, field, message):
+        data = messages_to_dict(make_messages(generate_scene(3, 5, seed=21), NoiseSpec(), DetectorSpec(), seed=0))
+        assert data["messages"][0]["boxes"]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} must be a number, got True"):
+            messages_from_dict(with_field(data, ("messages", 0, "boxes", 0, *field), True))
 
     def test_scene_validation(self):
         with pytest.raises(ValueError):
