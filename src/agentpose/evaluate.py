@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import (
-    OrientedBox2, Pose2, compose, compose_columns, footprint_iou, footprints, inverse, inverse_columns, non_negative,
-    number, overlap_pairs, positive_finite, whole_number,
+    OrientedBox2, Pose2, compose, compose_columns, footprint_iou, footprints, inverse, inverse_columns, make_rule,
+    non_negative, numbers, overlap_pairs, positive_finite, whole_number,
 )
 from .posegraph import (
     DEFAULT_CLUSTER_GAP,
@@ -72,25 +72,14 @@ def relative_pose_error(estimated: Pose2, truth: Pose2) -> tuple[float, float]:
     return math.hypot(d.x, d.y), abs(math.degrees(d.theta))
 
 
-def nms_iou_bound(value) -> float:
-    """value as a float; ValueError unless it is an NMS IoU bound in (0, 1]."""
-    v = number(value, "nms_iou")
-    if not 0.0 < v <= 1.0:
-        raise ValueError(f"nms_iou must be in (0, 1], got {value!r}")
-    return v
-
-
-def ap_threshold(value, name: str) -> float:
-    """value as a float; ValueError unless it is an AP IoU threshold in (0, 1)."""
-    v = number(value, name)
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"{name} must be in (0, 1), got {value!r}")
-    return v
+# The rules of late fusion's NMS IoU bound and of an AP IoU threshold.
+nms_iou_bound = make_rule(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+ap_threshold = make_rule(lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def _fuse_rows(messages, rel_poses, nms_iou: float) -> tuple[np.ndarray, list[str]]:
     """The rows late_fuse keeps, in the ego frame and in rank order, and their senders' agent ids."""
-    nms_iou = nms_iou_bound(nms_iou)
+    nms_iou = nms_iou_bound(nms_iou, "nms_iou")
     ordered, block, owner = box_columns(messages)
     missing = [m.agent_id for m in ordered if m.agent_id not in rel_poses]
     if missing:
@@ -230,10 +219,10 @@ class BenchmarkConfig:
             zip(("num_agents", "num_objects", "area", "extent", "min_object_gap"), scene),
             seed=whole_number(self.seed, "seed", 0),
             scenes=whole_number(self.scenes, "scenes", 1),
-            noise_grid=tuple((non_negative(t, "noise_grid"), non_negative(r, "noise_grid")) for t, r in self.noise_grid),
+            noise_grid=numbers(self.noise_grid, "noise_grid", lambda level, at: numbers(level, at, non_negative, 2)),
             cluster_gap=positive_finite(self.cluster_gap, "cluster_gap"),
-            nms_iou=nms_iou_bound(self.nms_iou),
-            ap_thresholds=tuple(ap_threshold(t, "ap_thresholds") for t in self.ap_thresholds),
+            nms_iou=nms_iou_bound(self.nms_iou, "nms_iou"),
+            ap_thresholds=numbers(self.ap_thresholds, "ap_thresholds", ap_threshold),
         )
         for name, value in checked.items():
             object.__setattr__(self, name, value)

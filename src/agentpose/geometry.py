@@ -20,7 +20,7 @@ def number(value, name: str) -> float:
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
-def _rule(holds, requirement: str):
+def make_rule(holds, requirement: str):
     """A rule: number(value, name), a -0.0 as 0.0; ValueError naming it unless holds(the float) is true."""
 
     def rule(value, name: str) -> float:
@@ -32,10 +32,19 @@ def _rule(holds, requirement: str):
     return rule
 
 
-finite_number = _rule(math.isfinite, "finite")
-positive_finite = _rule(lambda v: 0.0 < v < math.inf, "positive and finite")
-non_negative = _rule(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-unit_interval = _rule(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+finite_number = make_rule(math.isfinite, "finite")
+positive_finite = make_rule(lambda v: 0.0 < v < math.inf, "positive and finite")
+non_negative = make_rule(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+unit_interval = make_rule(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
+def numbers(value, name: str, rule=number, count: int | None = None) -> tuple:
+    """rule(item k, f"{name}[k]") of every item, as a tuple; ValueError naming it unless value is a list, a tuple
+    or a 1-d array (a str is not, so "99" is never two 9s) and, when count is given, holds count items."""
+    sequence = isinstance(value, (list, tuple, np.ndarray)) and getattr(value, "ndim", 1) == 1
+    if not sequence or count not in (None, len(value)):
+        raise ValueError(f"{name} must be a list{'' if count is None else f' of {count} values'}, got {value!r}")
+    return tuple(rule(v, f"{name}[{k}]") for k, v in enumerate(value))
 
 
 def whole_number(value, name: str, minimum: int) -> int:

@@ -491,9 +491,11 @@ def _schur_step(
     Each C is a 2x2 translation block and a heading scalar, inverted in closed
     form: the 2x2 adjugate over the determinant. Every C is positive definite,
     so the damped system is positive definite exactly when S is: the Cholesky
-    of S is the guard. It raises LinAlgError otherwise, e.g. for a component
-    detached from the ego, whose JᵀJ is singular and whose free gauge a plain
-    solve would step along. The step is returned in state order.
+    of S is the guard, and raises LinAlgError when rounding leaves S
+    indefinite. Any lam > 0 makes the damped system positive definite, so the
+    guard does not catch a component detached from the ego: its JᵀJ is
+    singular, yet the step moves it along its free gauge (ROADMAP item 2).
+    The step is returned in state order.
     """
     fa, n_o = len(g_a), g_o.shape[1]
     damped = h_xy + lam * _EYE2
@@ -520,10 +522,13 @@ def optimize(graph: PoseGraph, params: SolverParams = SolverParams()) -> SolveRe
     solves the Schur complement over the free agents (3(n_agents-1)
     square), then back-substitutes the object steps. The ego
     pose never enters the state vector and is returned bit-identical. The
-    objective over accepted steps is non-increasing by construction; a
-    singular normal system only raises the damping, never an error. The solve
-    stops when a step would gain less than convergence_tol: measured on an
-    accepted step, predicted by the linear model on a rejected one. Returns
+    objective over accepted steps is non-increasing by construction; a step
+    that fails to solve only raises the damping, never an error. A component
+    detached from the ego is not held: any damping makes its singular system
+    solvable, so LM moves its agents along their free gauge and still reports
+    a normal termination (ROADMAP item 2). The solve stops when a step would
+    gain less than convergence_tol: measured on an accepted step, predicted
+    by the linear model on a rejected one. Returns
     the best state found even when the iteration budget runs out; the
     result's termination says which exit was taken.
     """

@@ -15,7 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Pose2, compose_columns, inverse, non_negative, number, positive_finite, unit_interval, whole_number
+from .geometry import (
+    Pose2, compose_columns, inverse, non_negative, number, numbers, positive_finite, unit_interval, whole_number,
+)
 from .posegraph import BOX_WIDTH, AgentMessage
 
 # Reported variances are floored so zero-noise runs still produce valid
@@ -40,20 +42,14 @@ class ScenarioError(RuntimeError):
     """Raised when a scene cannot be realized, e.g. infeasible object packing."""
 
 
-def positive_pair(value, name: str) -> tuple[float, float]:
-    """value as a pair of floats; ValueError unless it holds exactly two positive finite values."""
-    pair = tuple(number(v, name) for v in value)
-    if len(pair) != 2 or not all(0.0 < v < math.inf for v in pair):
-        raise ValueError(f"{name} must be two positive finite values")
-    return pair
-
-
 def scene_arguments(num_agents, num_objects, area, extent, min_object_gap) -> tuple[int, int, tuple, tuple, float]:
     """generate_scene's arguments as it uses them; ValueError unless the counts are whole numbers, at least
-    one agent and no negative object count, area and extent positive_pairs and min_object_gap finite and >= 0."""
+    one agent and no negative object count, area and extent two positive finite numbers each (read by numbers)
+    and min_object_gap finite and >= 0."""
     return (
         whole_number(num_agents, "num_agents", 1), whole_number(num_objects, "num_objects", 0),
-        positive_pair(area, "area"), positive_pair(extent, "extent"), non_negative(min_object_gap, "min_object_gap"),
+        numbers(area, "area", positive_finite, 2), numbers(extent, "extent", positive_finite, 2),
+        non_negative(min_object_gap, "min_object_gap"),
     )
 
 
@@ -86,7 +82,7 @@ class Scene:
     def __post_init__(self) -> None:
         object.__setattr__(self, "agents", tuple(self.agents))
         object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "extent", positive_pair(self.extent, "extent"))
+        object.__setattr__(self, "extent", numbers(self.extent, "extent", positive_finite, 2))
         if not self.agents:
             raise ValueError("scene needs at least one agent")
         ids = [a.agent_id for a in self.agents] + [o.object_id for o in self.objects]
@@ -145,7 +141,7 @@ class DetectorSpec:
         for name, rule in rules.items():
             object.__setattr__(self, name, rule(getattr(self, name), name))
         if self.noise_scale_choices is not None:
-            choices = tuple(positive_finite(c, "noise_scale_choices") for c in self.noise_scale_choices)
+            choices = numbers(self.noise_scale_choices, "noise_scale_choices", positive_finite)
             if not choices:
                 raise ValueError("noise_scale_choices must not be empty")
             object.__setattr__(self, "noise_scale_choices", choices)
@@ -329,9 +325,7 @@ def make_messages(
 
 
 def _pose_from_list(v, where: str) -> Pose2:
-    if not isinstance(v, (list, tuple)) or len(v) != 3:
-        raise ValueError(f"{where} must be [x, y, theta]")
-    return Pose2(*(number(c, f"{where}[{k}]") for k, c in enumerate(v)))
+    return Pose2(*numbers(v, where, count=3))
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -371,9 +365,7 @@ def scene_from_dict(data: dict) -> Scene:
 
 def _box_row(vec, confidence: float) -> list[float]:
     """One block row from a wire box vector and its confidence."""
-    if len(vec) != 10:
-        raise ValueError(f"box vector must have 10 fields, got {len(vec)}")
-    return [number(v, f"box vector b[{k}]") for k, v in enumerate(vec)] + [confidence]
+    return [*numbers(vec, "box vector b", count=10), confidence]
 
 
 def messages_to_dict(messages: Sequence[AgentMessage]) -> dict:

@@ -365,7 +365,8 @@ BAD_SCENE_FIELDS = [
     pytest.param(_LENGTH, 0.0, _LENGTH_RULE, id="length_zero"),
     pytest.param(_LENGTH, math.nan, _LENGTH_RULE, id="length_nan"),
     pytest.param(("objects", 1, "width"), -1.9, "scene.objects[1].width must be positive and finite", id="width_negative"),
-    pytest.param(("extent",), [140.0, 140.0, 140.0], "extent must be two positive finite values", id="extent_three_values"),
+    pytest.param(("extent",), [140.0, 140.0, 140.0], "extent must be a list of 2 values", id="extent_three_values"),
+    pytest.param(("extent",), "99", "extent must be a list of 2 values, got '99'", id="extent_text"),
     pytest.param(("agents", 1, "pose", 0), True, "scene.agents[1].pose[0] must be a number", id="pose_true"),
 ]
 
@@ -379,3 +380,19 @@ def with_field(data: dict, path: tuple, value) -> dict:
         node = node[key]
     node[last] = value
     return data
+
+
+def agent_components(graph: PoseGraph) -> list[int]:
+    """Per agent of graph, the label of its agent-object component: a union-find over edge_nodes."""
+    n_a = len(graph.agent_ids)
+    parent = list(range(n_a + len(graph.object_poses)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, o in graph.edge_nodes.tolist():
+        parent[root(a)] = root(n_a + o)
+    return [root(a) for a in range(n_a)]

@@ -282,6 +282,12 @@ BAD_CONFIG_VALUES = [
     pytest.param({"solver": {"max_iterations": True}}, id="max_iterations_true"),
     pytest.param({"cluster_gap": True}, id="cluster_gap_true"),
     pytest.param({"nms_iou": True}, id="nms_iou_true"),
+    # A JSON string is not a list: iterating it would read its digits ("99" as 9, 9).
+    pytest.param({"extent": "99"}, id="extent_text"),
+    pytest.param({"area": "12"}, id="area_text"),
+    pytest.param({"noise_grid": ["06"]}, id="noise_grid_text"),
+    pytest.param({"noise_grid": [[0.1, 0.2, 0.3]]}, id="noise_grid_three_values"),
+    pytest.param({"detector": {"noise_scale_choices": "25"}}, id="noise_scale_choices_text"),
 ]
 
 

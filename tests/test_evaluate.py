@@ -5,6 +5,7 @@ report structure and determinism."""
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from agentpose.evaluate import (
 from agentpose.geometry import OrientedBox2, Pose2, compose, inverse, rotated_iou_bev
 from agentpose.oracles import ap_bruteforce
 from agentpose.posegraph import AgentMessage, build_pose_graph, optimize, relative_poses
-from agentpose.scenario import DetectorSpec, derive_seed, generate_scene, make_messages
+from agentpose.scenario import DetectorSpec, derive_seed, generate_scene, make_messages, messages_from_dict
 from agentpose.uncertainty import BoxDetection
 
 from helpers import box_block, scalar_average_precision, scalar_late_fuse, scalar_pair_errors
@@ -535,17 +536,46 @@ class TestRunBenchmark:
             with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be a whole number"):
                 BenchmarkConfig(**{"seed": 1, **bad})
 
+    # A JSON value that is not what its field holds: true is not a number, and a
+    # string is not a list (it was read as its digits), nor is a level of three values.
     @pytest.mark.parametrize(
-        "make, field",
+        "make, message",
         [
-            (lambda: BenchmarkConfig(seed=1, cluster_gap=True), "cluster_gap"),
-            (lambda: BenchmarkConfig(seed=1, noise_grid=((True, 0.6),)), "noise_grid"),
-            (lambda: DetectorSpec(miss_rate=True), "miss_rate"),
+            (lambda: BenchmarkConfig(seed=1, cluster_gap=True), "cluster_gap must be a number, got True"),
+            (lambda: BenchmarkConfig(seed=1, noise_grid=((True, 0.6),)), "noise_grid[0][0] must be a number, got True"),
+            (lambda: DetectorSpec(miss_rate=True), "miss_rate must be a number, got True"),
+            (lambda: BenchmarkConfig(seed=1, extent="99"), "extent must be a list of 2 values, got '99'"),
+            (lambda: BenchmarkConfig(seed=1, area="12"), "area must be a list of 2 values, got '12'"),
+            (lambda: BenchmarkConfig(seed=1, noise_grid=["06"]), "noise_grid[0] must be a list of 2 values, got '06'"),
+            (
+                lambda: BenchmarkConfig(seed=1, noise_grid=[[0.1, 0.2, 0.3]]),
+                "noise_grid[0] must be a list of 2 values, got [0.1, 0.2, 0.3]",
+            ),
+            (lambda: DetectorSpec(noise_scale_choices="25"), "noise_scale_choices must be a list, got '25'"),
+            (
+                lambda: messages_from_dict(
+                    {
+                        "type": "messages",
+                        "version": 1,
+                        "messages": [
+                            {
+                                "agent_id": "a0",
+                                "measured_pose": [0, 0, 0],
+                                "boxes": [{"b": "1111111111", "confidence": 0.8}],
+                            }
+                        ],
+                    }
+                ),
+                "box vector b must be a list of 10 values, got '1111111111'",
+            ),
         ],
-        ids=["cluster_gap", "noise_grid", "miss_rate"],
+        ids=[
+            "cluster_gap", "noise_grid", "miss_rate", "extent_text", "area_text", "noise_grid_text",
+            "noise_grid_three_values", "noise_scale_choices_text", "box_vector_text",
+        ],
     )
-    def test_json_true_is_not_a_number(self, make, field):
-        with pytest.raises(ValueError, match=f"^{field} must be a number, got True"):
+    def test_misread_value_is_named(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             make()
 
     def test_worker_count_is_a_whole_number(self):

@@ -143,18 +143,18 @@ class TestGenerateScene:
 
     @pytest.mark.parametrize("side", [math.nan, math.inf, -math.inf])
     def test_non_finite_area_and_extent_rejected(self, side):
-        with pytest.raises(ValueError, match="area must be two positive finite values"):
+        with pytest.raises(ValueError, match=r"^area\[0\] must be positive and finite"):
             generate_scene(1, 1, (side, 5.0))
-        with pytest.raises(ValueError, match="area must be two positive finite values"):
+        with pytest.raises(ValueError, match=r"^area\[1\] must be positive and finite"):
             generate_scene(1, 1, (5.0, side))
         agents = (SceneAgent("a0", Pose2.identity()),)
-        for extent in ((side, 5.0), (5.0, side)):
-            with pytest.raises(ValueError, match="extent must be two positive finite values"):
+        for k, extent in enumerate(((side, 5.0), (5.0, side))):
+            with pytest.raises(ValueError, match=rf"^extent\[{k}\] must be positive and finite"):
                 Scene(agents=agents, objects=(), extent=extent)
 
     def test_extent_checked_before_placement(self):
         # 500 objects do not fit in 20 x 20 m: the placement would raise ScenarioError.
-        with pytest.raises(ValueError, match="extent must be two positive finite values"):
+        with pytest.raises(ValueError, match="^extent must be a list of 2 values"):
             generate_scene(1, 500, area=(20.0, 20.0), extent=(1.0, 2.0, 3.0))
 
     def test_counts_must_be_whole_numbers(self):
@@ -165,11 +165,11 @@ class TestGenerateScene:
 
     @pytest.mark.parametrize("pair", [(50.0, 60.0, 70.0), (50.0,), ()])
     def test_area_and_extent_need_exactly_two_values(self, pair):
-        with pytest.raises(ValueError, match="area must be two positive finite values"):
+        with pytest.raises(ValueError, match="^area must be a list of 2 values"):
             generate_scene(2, 3, area=pair, seed=1)
-        with pytest.raises(ValueError, match="extent must be two positive finite values"):
+        with pytest.raises(ValueError, match="^extent must be a list of 2 values"):
             generate_scene(2, 3, extent=pair, seed=1)
-        with pytest.raises(ValueError, match="extent must be two positive finite values"):
+        with pytest.raises(ValueError, match="^extent must be a list of 2 values"):
             Scene(agents=(SceneAgent("a0", Pose2.identity()),), objects=(), extent=pair)
 
 

@@ -223,7 +223,7 @@ class TestBoxDetection:
         box = make_box()
         row = _box_row([1.0, 2.0, 0.0, 4.0, 2.0, 1.6, 0.3, 0.04, 0.04, 0.01], box.confidence)
         assert BoxDetection(*row, agent_id=box.agent_id) == box
-        with pytest.raises(ValueError, match="10 fields"):
+        with pytest.raises(ValueError, match="^box vector b must be a list of 10 values"):
             _box_row(row, box.confidence)
 
     def test_transform_box_matches_pose_compose(self):
