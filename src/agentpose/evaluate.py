@@ -226,6 +226,11 @@ class BenchmarkConfig:
         )
         for name, value in checked.items():
             object.__setattr__(self, name, value)
+        keys = [f"{thr:g}" for thr in self.ap_thresholds]  # the report's AP keys
+        for k, key in enumerate(keys):
+            if (j := keys.index(key)) < k:
+                raise ValueError(f"ap_thresholds[{j}] and ap_thresholds[{k}] share the report key {key!r}, "
+                                 f"got {self.ap_thresholds[j]!r} and {self.ap_thresholds[k]!r}")
         if not self.noise_grid:
             raise ValueError("noise_grid must not be empty")
         NoiseSpec(self.noise_kind)  # checks the kind; the scales were read by NoiseSpec's rule above

@@ -125,9 +125,9 @@ def compose(a: Pose2, b: Pose2) -> Pose2:
     )
 
 
-def _cos_sin(theta: np.ndarray) -> np.ndarray:
-    """math.cos and math.sin of every angle as (n, 2) rows, the bits the scalar pose algebra uses."""
-    return np.array([(math.cos(t), math.sin(t)) for t in theta.tolist()], dtype=float).reshape(-1, 2)
+def _cos_sin(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.cos and np.sin of every angle: the bits of math.cos and math.sin, as tests/test_geometry.py pins."""
+    return np.cos(theta), np.sin(theta)
 
 
 def compose_columns(
@@ -137,14 +137,13 @@ def compose_columns(
 
     frames holds (x, y, theta) rows, headings wrapped. A single frame may be
     passed with owner 0: its one row then broadcasts over every entry. Each
-    frame's cosine and sine come from math.cos and math.sin once (_cos_sin),
-    and the products and sums run in compose's order, so every entry has the
-    bits of the scalar compose. Raises ValueError, as Pose2 does, if a
-    translation is not finite.
+    frame's cosine and sine come from _cos_sin once, and the products and sums
+    run in compose's order, so every entry has the bits of the scalar compose.
+    Raises ValueError, as Pose2 does, if a translation is not finite.
     """
     frames = np.asarray(frames, dtype=float).reshape(-1, 3)
-    fx, fy, ft = frames[owner].T
-    c, s = _cos_sin(frames[:, 2])[owner].T
+    fx, fy, ft = frames.take(owner, axis=0).T
+    c, s = (v.take(owner) for v in _cos_sin(frames[:, 2]))
     with np.errstate(over="ignore", invalid="ignore"):  # reported as the ValueError below
         gx = fx + c * x - s * y
         gy = fy + s * x + c * y
@@ -163,7 +162,7 @@ def inverse(p: Pose2) -> Pose2:
 def inverse_columns(poses: np.ndarray) -> np.ndarray:
     """inverse of every (x, y, theta) row of an (n, 3) array as (n, 3) rows, bit for bit; raises as compose_columns."""
     x, y, theta = np.asarray(poses, dtype=float).reshape(-1, 3).T
-    c, s = _cos_sin(theta).T
+    c, s = _cos_sin(theta)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as the ValueError below
         out = np.stack((-(c * x + s * y), -(-s * x + c * y), wrap_angles(-theta)), axis=1)
     if not np.isfinite(out[:, :2]).all():
@@ -268,45 +267,47 @@ def rotated_iou_bev(a: OrientedBox2, b: OrientedBox2) -> float:
     return footprint_iou(*footprints(*zip(*((f.cx, f.cy, f.length, f.width, f.heading) for f in (a, b)))))
 
 
-# Sorted points per block of close_pairs: a block's x-band candidates are the
-# only pair temporaries alive at a time.
-_PAIR_BLOCK = 256
+# close_pairs' cell keys, cx * _STRIDE + cy: a point's own and upper cells end below key + 2, and the next column's
+# three cells run from key + _STRIDE - 1 to below key + _STRIDE + 2. Searched at once: both ends, then that start.
+_STRIDE = 2.0**27
+_NEIGHBOUR_KEYS = np.array([[2.0], [_STRIDE + 2.0], [_STRIDE - 1.0]])
 
 
 def close_pairs(xs: np.ndarray, ys: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i < j, of the points at most reach apart, as two arrays.
+    """Index pairs (i, j), i < j, of the points at most reach apart, as two arrays in no set order.
 
-    A pair at most reach apart is at most reach apart in x, so each point's
-    candidate partners are the points after it in x order up to x + reach.
-    The sorted points are walked in blocks of _PAIR_BLOCK, and each block's
-    candidates are filtered by squared distance at once. The reach carries a
-    1e-6 relative slack, so pairs slightly beyond reach may be returned too:
-    callers apply their exact test to the pairs returned.
+    The points are sorted by the key of their cell in a uniform grid of cells
+    at least reach wide, keys running up each column, so each point's
+    candidates are two contiguous ranges of the sorted points: its own cell
+    from the next point on plus the cell above, and the three cells of the
+    next column. All candidates are filtered by squared distance at once. The
+    reach carries a 1e-6 relative slack, so pairs slightly beyond reach may be
+    returned too: callers apply their exact test to the pairs returned.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     n = len(xs)
-    order = np.argsort(xs, kind="stable")
-    sx = xs[order]
-    sy = ys[order]
-    reach = reach * (1.0 + 1e-6)
-    end = np.searchsorted(sx, sx + reach, side="right")
-    firsts, seconds = [], []
-    for lo in range(0, n, _PAIR_BLOCK):
-        hi = min(lo + _PAIR_BLOCK, n)
-        counts = end[lo:hi] - np.arange(lo + 1, hi + 1)
-        # Pair t of sorted point p is (p, p + 1 + t - (number of the block's pairs before p's)).
-        first = np.repeat(np.arange(lo, hi), counts)
-        second = np.arange(len(first)) + np.repeat(end[lo:hi] - np.cumsum(counts), counts)
-        dx = sx[second] - sx[first]
-        dy = sy[second] - sy[first]
-        near = dx * dx + dy * dy <= reach * reach
-        firsts.append(order[first[near]])
-        seconds.append(order[second[near]])
-    if not firsts:
+    if n < 2:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    i = np.concatenate(firsts)
-    j = np.concatenate(seconds)
+    reach = reach * (1.0 + 1e-6)
+    # A cell is a little wider than the reach and at least 2**-24 of the largest
+    # |coordinate|, so keys are exact integers below 2**53 and a pair within
+    # reach lies at most one cell apart after the rounding of x / side.
+    side = max(reach * (1.0 + 2.0**-10), 2.0**-24 * np.abs(np.concatenate((xs, ys))).max())
+    key = np.floor(xs / side) * _STRIDE + np.floor(ys / side)
+    order = key.argsort()
+    sorted_key = key[order]
+    bounds = sorted_key.searchsorted(sorted_key + _NEIGHBOUR_KEYS)
+    point = np.arange(n)
+    start = np.concatenate((point + 1, bounds[2]))
+    count = bounds[:2].ravel() - start
+    # Pair t of a range that starts at s after c earlier candidates is (its point, s + t - c).
+    first = np.concatenate((point, point)).repeat(count)
+    second = np.arange(len(first)) - (count.cumsum() - count - start).repeat(count)
+    sx, sy = xs[order], ys[order]
+    dx = sx[second] - sx[first]
+    dy = sy[second] - sy[first]
+    near = dx * dx + dy * dy <= reach * reach
+    i, j = order[first[near]], order[second[near]]
     return np.minimum(i, j), np.maximum(i, j)
 
 
@@ -319,11 +320,7 @@ def overlap_pairs(cx: np.ndarray, cy: np.ndarray, radius: np.ndarray) -> tuple[n
     disjoint-circumcircle exit. The slack covers the rounding differences
     between np.hypot and math.hypot.
     """
-    cx = np.asarray(cx, dtype=float)
-    cy = np.asarray(cy, dtype=float)
-    radius = np.asarray(radius, dtype=float)
-    if not len(cx):
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    i, j = close_pairs(cx, cy, 2.0 * float(radius.max()))
+    cx, cy, radius = (np.asarray(v, dtype=float) for v in (cx, cy, radius))
+    i, j = close_pairs(cx, cy, 2.0 * float(radius.max(initial=0.0)))
     meet = np.hypot(cx[j] - cx[i], cy[j] - cy[i]) <= (radius[i] + radius[j]) * (1.0 + 1e-9)
     return i[meet], j[meet]

@@ -208,23 +208,17 @@ class SolveResult:
         return _bitwise_key(self) == _bitwise_key(other) if isinstance(other, SolveResult) else NotImplemented
 
 
-def _components(xs: np.ndarray, ys: np.ndarray, gap2: float) -> np.ndarray:
-    """Connected components of the points linked by squared distance below gap2.
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Connected components of n points linked by the pairs (i[k], j[k]).
 
-    Returns each point's root: the smallest index in its component. Candidate
-    pairs come from close_pairs' sorted-x search; the squared-distance test
-    then runs on all of them at once. Roots are then merged over the linked
-    pairs in rounds: every pair whose ends still have different roots hooks
-    the larger root to the smaller, and pointers are followed until each
-    point holds a root. Each round with an unmerged pair removes a root, so
-    the loop ends, and the smallest member of a component is never hooked,
-    so it is the component's root.
+    Returns each point's root: the smallest index in its component. Roots are
+    merged over the pairs in rounds: every pair whose ends still have
+    different roots hooks the larger root to the smaller, and pointers are
+    followed until each point holds a root. Each round with an unmerged pair
+    removes a root, so the loop ends, and the smallest member of a component
+    is never hooked, so it is the component's root.
     """
-    i, j = close_pairs(xs, ys, math.sqrt(gap2))
-    linked = (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 < gap2
-    i, j = i[linked], j[linked]
-
-    root = np.arange(len(xs))
+    root = np.arange(n)
     while i.size:
         ri, rj = root[i], root[j]
         np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
@@ -251,26 +245,29 @@ def _cluster_labels(
     again into the connected components of its kept boxes. Every cluster is
     therefore connected under center_gap and holds at most one box per agent.
 
-    The duplicates of all components are found by one lexsort on component,
-    agent, descending confidence and index, and the boxes kept in all the
-    components that lost one are split again by one more _components call.
+    One close_pairs search gives the linked pairs. One stable sort on a
+    complex key (component and agent as an exact integer, then -confidence)
+    finds every duplicate, and the components that lost one are split again
+    over the linked pairs kept.
     """
     center_gap = positive_finite(center_gap, "center_gap")
-    gap2 = center_gap * center_gap
-    root = _components(xs, ys, gap2)
-    order = np.lexsort((np.arange(len(xs)), -confidence, agent, root))
-    dup = np.zeros(len(xs), dtype=bool)
-    dup[1:] = (root[order[1:]] == root[order[:-1]]) & (agent[order[1:]] == agent[order[:-1]])
-    dropped = order[dup]
+    i, j = close_pairs(xs, ys, center_gap)
+    linked = (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 < center_gap * center_gap
+    i, j = i[linked], j[linked]
+    root = _components(len(xs), i, j)
+    order = np.argsort(root * (agent.max(initial=0) + 1) + agent - 1j * confidence, kind="stable")
+    later = order[1:]  # dropped: a box whose predecessor here has its component and agent
+    dropped = later[(root[later] == root[order[:-1]]) & (agent[later] == agent[order[:-1]])]
     if dropped.size:
         lost = np.zeros(len(xs), dtype=bool)
         lost[root[dropped]] = True
         kept = lost[root]
         kept[dropped] = False
+        both = kept[i] & kept[j]
         root[dropped] = dropped
-        sub = np.flatnonzero(kept)
-        root[sub] = sub[_components(xs[sub], ys[sub], gap2)]
-    return np.unique(root, return_inverse=True)[1]
+        root[kept] = _components(len(xs), i[both], j[both])[kept]
+    # Every root is its own root, so numbering the roots in index order numbers the clusters.
+    return ((root == np.arange(len(xs))).cumsum() - 1)[root]
 
 
 def _seed_poses(
@@ -279,11 +276,12 @@ def _seed_poses(
     """Initial object poses from lifted member boxes, object obj[i] for box i, as (n_objects, 3) rows.
 
     Each center coordinate is the inverse-variance weighted mean of the
-    members' global centers; the heading is math.atan2 of the circular mean
-    of the global headings weighted by inverse heading variance. w holds the
-    inverse variance columns. The sums run over the boxes in the given order.
+    members' global centers; the heading is math.atan2 (np.arctan2 differs in
+    the last bit on some inputs) of the circular mean of the global headings
+    from _cos_sin, weighted by inverse heading variance. w holds the inverse
+    variance columns. The sums run over the boxes in the given order.
     """
-    c, s = _cos_sin(gt).T
+    c, s = _cos_sin(gt)
     sx, swx, sy, swy, ss, sc = (
         np.bincount(obj, weights, n_objects)
         for weights in (w[:, 0] * gx, w[:, 0], w[:, 1] * gy, w[:, 1], w[:, 2] * s, w[:, 2] * c)
@@ -359,7 +357,7 @@ class _Problem:
         self.n_objects = n_o
         self.n_nodes = n_a + n_o
         self.ego = graph.ego_index
-        self.free_nodes = np.array([i for i in range(self.n_nodes) if i != self.ego], dtype=int)
+        self.free_nodes = np.delete(np.arange(self.n_nodes), self.ego)
         self.n_free = 3 * len(self.free_nodes)
         self.n_free_agents = 3 * (n_a - 1)
         self.p0 = np.concatenate((np.array([p.as_tuple() for p in graph.agent_poses], dtype=float), graph.object_poses))
@@ -386,21 +384,22 @@ class _Problem:
         # Grams are summed per (agent slot, row p, column q of G, object): the
         # free agents in order, then the ego, whose agent rows are sliced off.
         # A repeated (agent, object) edge lands on the same entries and adds.
-        agent_slot = np.full(n_a, n_a - 1)
-        agent_slot[self.free_nodes[self.free_nodes < n_a]] = np.arange(n_a - 1)
-        entry = 16 * agent_slot[self.ai, None] + np.arange(16)
-        self._pair_index = (entry * n_o + graph.edge_nodes[:, 1, None]).ravel()
+        agent_slot = np.append(self.free_nodes[: n_a - 1], self.ego).argsort()
+        base = 16 * n_o * agent_slot[self.ai] + graph.edge_nodes[:, 1]
+        self._pair_index = (base[:, None] + n_o * np.arange(16)).ravel()
         self._pair_shape = (n_a, 4, 4, n_o)
         self._pair_size = 16 * n_a * n_o
         self._agent_diag = np.arange(n_a - 1)
+        self._h_ao = np.empty((n_a - 1, 3, 3, n_o))  # normal_blocks' H_ao, indexed (agent, i, j, object)
 
     def evaluate(self, poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unweighted and weighted residuals, both (m, 3), at the given node poses."""
         tj = poses.take(self.ai, axis=0)
         tk = poses.take(self.oi, axis=0)
         d = tk[:, :2] - tj[:, :2]
-        cj = np.cos(tj[:, 2])
-        sj = np.sin(tj[:, 2])
+        heading = poses[: self.n_agents, 2]
+        cj = np.cos(heading).take(self.ai)
+        sj = np.sin(heading).take(self.ai)
         # The object's offset from the measured box, in the agent frame.
         ax = cj * d[:, 0] + sj * d[:, 1] - self.zx
         ay = cj * d[:, 1] - sj * d[:, 0] - self.zy
@@ -431,24 +430,23 @@ class _Problem:
         The object parts are component-major, with the object last: H_ao (fa x
         3 n_objects) has its columns ordered (component, object) and g_o is (3,
         n_objects). Each object's block is [[H_xy, 0], [0, H_theta]], with H_xy
-        (2, 2, n_objects) and H_theta (n_objects,). Rows p and columns q of G
-        are o, A_0, A_1, A_2 and A_0, A_1, A_2, r.
+        (2, 2, n_objects) and H_theta (n_objects,). H_ao is valid until the next
+        call. Rows p and columns q of G are o, A_0, A_1, A_2 and A_0, A_1, A_2, r.
         """
         buf = self._fill(poses, e, r)
         gram = np.matmul(buf[:, :, :4].transpose(0, 2, 1), buf[:, :, 1:], out=self._gram)
         pairs = np.bincount(self._pair_index, gram.ravel(), minlength=self._pair_size).reshape(self._pair_shape)
         agents = pairs[:-1].sum(axis=3)
         objects = pairs.sum(axis=0)
-        n_fa, fa, n_o = len(self._agent_diag), self.n_free_agents, self.n_objects
+        n_fa, fa = len(self._agent_diag), self.n_free_agents
         h_aa = np.zeros((n_fa, 3, n_fa, 3))
         h_aa[self._agent_diag, :, self._agent_diag, :] = agents[:, 1:, :3]
-        # H_ao = -[AᵀA[:, :2] | Aᵀo], indexed (agent, i, j, object).
-        h_ao = np.empty((n_fa, 3, 3, n_o))
-        np.negative(pairs[:-1, 1:, :2], out=h_ao[:, :, :2])
-        np.negative(pairs[:-1, 0, :3], out=h_ao[:, :, 2])
+        # H_ao = -[AᵀA[:, :2] | Aᵀo], into the buffer every call rewrites.
+        np.negative(pairs[:-1, 1:, :2], out=self._h_ao[:, :, :2])
+        np.negative(pairs[:-1, 0, :3], out=self._h_ao[:, :, 2])
         return (
             h_aa.reshape(fa, fa),
-            h_ao.reshape(fa, 3 * n_o),
+            self._h_ao.reshape(fa, 3 * self.n_objects),
             objects[1:3, :2],  # A[:, :2]ᵀA[:, :2]
             objects[0, 2],  # oᵀA_2 = oᵀo
             agents[:, 1:, 3].ravel(),

@@ -288,6 +288,8 @@ BAD_CONFIG_VALUES = [
     pytest.param({"noise_grid": ["06"]}, id="noise_grid_text"),
     pytest.param({"noise_grid": [[0.1, 0.2, 0.3]]}, id="noise_grid_three_values"),
     pytest.param({"detector": {"noise_scale_choices": "25"}}, id="noise_scale_choices_text"),
+    # Two thresholds that print alike under :g would share one AP key of the report.
+    pytest.param({"ap_thresholds": [0.5, 0.7, 0.5000001]}, id="ap_thresholds_same_key"),
 ]
 
 

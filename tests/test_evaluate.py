@@ -18,7 +18,10 @@ import pytest
 import agentpose.evaluate
 from agentpose.evaluate import (
     BenchmarkConfig,
+    _fuse_rows,
+    _ground_truth_columns,
     _pair_errors,
+    _ranked_ious,
     _run_scene,
     average_precision,
     histogram_rows,
@@ -29,7 +32,7 @@ from agentpose.evaluate import (
 from agentpose.geometry import OrientedBox2, Pose2, compose, inverse, rotated_iou_bev
 from agentpose.oracles import ap_bruteforce
 from agentpose.posegraph import AgentMessage, build_pose_graph, optimize, relative_poses
-from agentpose.scenario import DetectorSpec, derive_seed, generate_scene, make_messages, messages_from_dict
+from agentpose.scenario import DetectorSpec, NoiseSpec, derive_seed, generate_scene, make_messages, messages_from_dict
 from agentpose.uncertainty import BoxDetection
 
 from helpers import box_block, scalar_average_precision, scalar_late_fuse, scalar_pair_errors
@@ -291,6 +294,30 @@ def aab(cx, cy, length=4.0, width=2.0):
     return OrientedBox2(cx, cy, length, width, 0.0)
 
 
+class TestPairOrder:
+    """Late fusion and the AP IoU rows do not depend on the order in which overlap_pairs lists its pairs."""
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_reversed_pairs_change_nothing(self, monkeypatch, seed):
+        scene = generate_scene(6, 40, (120.0, 120.0), seed)
+        msgs = make_messages(scene, NoiseSpec("gaussian", 0.6, 0.6), DetectorSpec(), seed)
+        ego = scene.agents[0].agent_id
+        rel = relative_poses({m.agent_id: m.measured_pose for m in msgs}, ego)
+        gt = _ground_truth_columns(scene, ego)
+
+        def outputs():
+            rows, senders = _fuse_rows(msgs, rel, 0.15)
+            return rows.tobytes(), senders, _ranked_ious(rows[:, [0, 1, 3, 4, 6]], rows[:, 10], gt)
+
+        forward = outputs()
+        pairs = agentpose.evaluate.overlap_pairs
+        monkeypatch.setattr(agentpose.evaluate, "overlap_pairs", lambda *a: tuple(v[::-1] for v in pairs(*a)))
+        assert outputs() == forward
+        # The round has boxes that NMS drops and detections that meet a ground truth.
+        assert len(forward[1]) < sum(len(m.block) for m in msgs)
+        assert sum(len(row) for row in forward[2]) > len(gt) // 2
+
+
 class TestAveragePrecision:
     def test_perfect_detections(self):
         gts = [aab(0.0, 0.0), aab(20.0, 0.0)]
@@ -538,6 +565,7 @@ class TestRunBenchmark:
 
     # A JSON value that is not what its field holds: true is not a number, and a
     # string is not a list (it was read as its digits), nor is a level of three values.
+    # Two AP thresholds that print alike under :g would share one report key.
     @pytest.mark.parametrize(
         "make, message",
         [
@@ -552,6 +580,14 @@ class TestRunBenchmark:
                 "noise_grid[0] must be a list of 2 values, got [0.1, 0.2, 0.3]",
             ),
             (lambda: DetectorSpec(noise_scale_choices="25"), "noise_scale_choices must be a list, got '25'"),
+            (
+                lambda: BenchmarkConfig(seed=1, ap_thresholds=(0.3, 0.5, 0.7, 0.5000001)),
+                "ap_thresholds[1] and ap_thresholds[3] share the report key '0.5', got 0.5 and 0.5000001",
+            ),
+            (
+                lambda: BenchmarkConfig(seed=1, ap_thresholds=[0.7, 0.7]),
+                "ap_thresholds[0] and ap_thresholds[1] share the report key '0.7', got 0.7 and 0.7",
+            ),
             (
                 lambda: messages_from_dict(
                     {
@@ -571,7 +607,8 @@ class TestRunBenchmark:
         ],
         ids=[
             "cluster_gap", "noise_grid", "miss_rate", "extent_text", "area_text", "noise_grid_text",
-            "noise_grid_three_values", "noise_scale_choices_text", "box_vector_text",
+            "noise_grid_three_values", "noise_scale_choices_text", "ap_thresholds_same_key", "ap_thresholds_repeated",
+            "box_vector_text",
         ],
     )
     def test_misread_value_is_named(self, make, message):

@@ -4,6 +4,7 @@ scalar IoU bit for bit, the pair searches against all-pairs scans."""
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from agentpose.geometry import (
     TWO_PI,
     OrientedBox2,
     Pose2,
+    _cos_sin,
     _polygon_area,
     close_pairs,
     compose,
@@ -26,7 +28,8 @@ from agentpose.geometry import (
     wrap_angles,
 )
 from agentpose.oracles import compose_oracle, consistency_oracle, inverse_oracle, mc_iou
-from agentpose.posegraph import PoseGraph, _Problem
+from agentpose.posegraph import PoseGraph, _Problem, box_columns
+from agentpose.scenario import DetectorSpec, NoiseSpec, generate_scene, make_messages
 
 from helpers import scalar_corners, scalar_rotated_iou_bev
 
@@ -140,6 +143,40 @@ class TestInverseColumns:
         if math.isfinite(row[0]) and math.isfinite(row[1]):
             with pytest.raises(ValueError, match="pose translation must be finite"):
                 inverse(Pose2(*row))
+
+
+class TestTrigContract:
+    """_cos_sin's np.cos and np.sin equal math.cos and math.sin bit for bit, which the column pose algebra, the
+    object seeds and the LM residuals rely on; numpy may pick another kernel by length, stride or CPU."""
+
+    @staticmethod
+    def assert_math_bits(angles):
+        want = [np.array([f(t) for t in angles.tolist()], dtype=float) for f in (math.cos, math.sin)]
+        for name, got, exact in zip(("cos", "sin"), _cos_sin(angles), want):
+            bad = np.flatnonzero(got.view(np.int64) != exact.view(np.int64))
+            assert not bad.size, (
+                f"numpy {np.__version__}: np.{name} differs from math.{name} on {bad.size} of {angles.size} "
+                f"angles, first {angles[bad[0]]!r}"
+            )
+
+    def test_uniform_angles(self):
+        rng = np.random.default_rng(16)
+        self.assert_math_bits(-rng.uniform(-math.pi, math.pi, 200_000))  # (-pi, pi]
+
+    def test_special_angles(self):
+        tiny = 2.0**-1022
+        special = [math.pi, -math.pi, math.pi / 2, -math.pi / 2, 0.0, -0.0, math.nextafter(-math.pi, 0.0),
+                   5e-324, -5e-324, tiny / 3, -tiny / 3, tiny, -tiny, math.nextafter(tiny, 0.0)]
+        self.assert_math_bits(np.array(special))
+
+    def test_strided_and_short_inputs(self):
+        rng = np.random.default_rng(17)
+        poses = rng.uniform(-math.pi, math.pi, (3000, 3))
+        for angles in (poses[:, 2], poses[::7, 1], poses.ravel()[::-1], poses.ravel()[5::11]):
+            self.assert_math_bits(angles)
+        for n in (1, 2, 3):
+            self.assert_math_bits(poses[:n, 0].copy())
+            self.assert_math_bits(poses[:n, 2])
 
 
 class TestPose2:
@@ -423,6 +460,23 @@ def pair_list(i, j):
     return set(pairs)
 
 
+def assert_close_pairs_cover_all_pairs(xs, ys, reach):
+    """close_pairs holds every pair at most reach apart by an all-pairs scan, and none beyond its slack; the
+    pairs within reach are returned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        i, j = close_pairs(xs, ys, reach)
+    assert not [w for w in caught if "cast" in str(w.message)]
+    got = pair_list(i, j)
+    want = set()
+    for lo in range(0, len(xs), 256):  # the scan, 256 rows at a time
+        a, b = np.nonzero(np.hypot(xs[lo : lo + 256, None] - xs, ys[lo : lo + 256, None] - ys) <= reach)
+        want.update((p, q) for p, q in zip((a + lo).tolist(), b.tolist()) if p < q)
+    assert want <= got
+    assert (np.hypot(xs[j] - xs[i], ys[j] - ys[i]) <= reach * (1.0 + 1e-5)).all()
+    return want
+
+
 class TestPairSearch:
     def test_close_pairs_of_no_and_one_point(self):
         for n in (0, 1):
@@ -430,9 +484,53 @@ class TestPairSearch:
             assert i.size == j.size == 0
             assert i.dtype.kind == j.dtype.kind == "i"
 
+    def test_close_pairs_of_two_points(self):
+        assert pair_list(*close_pairs(np.array([0.5, -1.0]), np.array([-3.0, -3.5]), 2.0)) == {(0, 1)}
+        assert pair_list(*close_pairs(np.array([0.5, -1.0]), np.array([-3.0, -6.5]), 2.0)) == set()
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_close_pairs_of_lifted_round_centres(self, seed):
+        # The centres build_pose_graph clusters at 12 agents / 200 objects.
+        scene = generate_scene(12, 200, (200.0, 200.0), seed, extent=(140.0, 140.0), min_object_gap=5.0)
+        ordered, block, owner = box_columns(make_messages(scene, NoiseSpec("gaussian", 0.6, 0.6), DetectorSpec(), seed))
+        frames = [m.measured_pose.as_tuple() for m in ordered]
+        gx, gy, _ = compose_columns(frames, owner, block[:, 0], block[:, 1], block[:, 6])
+        assert len(assert_close_pairs_cover_all_pairs(gx, gy, 2.0)) > 1000
+
+    def test_close_pairs_on_cell_edges(self):
+        # Points on the lines between close_pairs' cells (reach times both slacks),
+        # at negative coordinates, with partners exactly reach away along the axes
+        # and the diagonals.
+        reach = 2.0
+        side = reach * (1.0 + 1e-6) * (1.0 + 2.0**-10)
+        grid = np.arange(-5, 1) * side
+        xs, ys = (v.ravel() for v in np.meshgrid(grid, grid))
+        d = reach / math.sqrt(2.0)
+        dx = np.array([0.0, reach, 0.0, -reach, d, -d, side, 0.0])
+        dy = np.array([0.0, 0.0, reach, 0.0, d, d, 0.0, -side])
+        xs, ys = (xs[:, None] + dx).ravel(), (ys[:, None] + dy).ravel()
+        assert len(assert_close_pairs_cover_all_pairs(xs, ys, reach)) > len(xs)
+
+    def test_close_pairs_of_duplicate_points(self):
+        xs = np.array([3.0] * 25 + [3.5, -1.0, 3.0])
+        ys = np.array([-2.0] * 25 + [-2.0, 7.0, -2.0])
+        want = assert_close_pairs_cover_all_pairs(xs, ys, 2.0)
+        assert len(want) == 27 * 26 // 2
+
+    @pytest.mark.parametrize("span", [1e12, 1e300])
+    def test_close_pairs_over_huge_spans(self, span):
+        # Cells are at least a fixed share of the largest coordinate, so a cell
+        # index stays small; clusters of close points sit near both ends.
+        rng = np.random.default_rng(59)
+        xs, ys = rng.uniform(-span, span, 200), rng.uniform(-span, span, 200)
+        near = np.array([0.0, 1.5, 3.0, 0.0])
+        xs = np.concatenate((xs, -span + near, span - near, near))
+        ys = np.concatenate((ys, span - near[::-1], -span + near, near))
+        assert len(assert_close_pairs_cover_all_pairs(xs, ys, 2.0)) >= 3
+
     @pytest.mark.parametrize("n", [7, 700])
     def test_close_pairs_match_all_pairs_scan(self, n):
-        # 700 points span several blocks; lattice points put many pairs exactly
+        # 700 points fill many grid cells; lattice points put many pairs exactly
         # at the reach and many points at the same x.
         rng = np.random.default_rng(57)
         for lattice in (True, False):

@@ -119,22 +119,41 @@ class TestClusterBoxes:
                 assert len(agents) == len(set(agents))
                 assert len(closure_clusters([(cx, cy) for _, cx, cy, _ in members], 2.0)) == 1
 
+    @staticmethod
+    def relabel_roots(n, pairs):
+        """Each point's root, the smallest index in its component, by relabelling over every pair in turn."""
+        label = list(range(n))
+        for i, j in pairs:
+            if label[i] != label[j]:
+                old, new = label[j], label[i]
+                label = [new if v == old else v for v in label]
+        return [label.index(label[i]) for i in range(n)]
+
+    def test_components_of_given_pairs(self):
+        # Random pair lists (i < j), with repeated pairs, long chains and points linked to nothing.
+        rng = np.random.default_rng(84)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            a, b = rng.integers(0, n, (2, int(rng.integers(0, 2 * n + 1))))
+            if rng.random() < 0.5:
+                b = np.minimum(a + 1, n - 1)  # a chain, hooked one root at a time
+            i, j = np.minimum(a, b)[a != b], np.maximum(a, b)[a != b]
+            assert _components(n, i, j).tolist() == self.relabel_roots(n, zip(i.tolist(), j.tolist()))
+        assert _components(0, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)).tolist() == []
+
     def test_components_match_all_pairs_reference(self):
         # Lattice points put many pairs exactly at the gap (not linked: the test
-        # is strict) and many points at the same x.
+        # is strict) and many points at the same x. One agent per box, so no box
+        # is split off and _cluster_labels numbers the components.
         def all_pairs(xs, ys, gap2):
             n = len(xs)
-            label = list(range(n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 < gap2 and label[i] != label[j]:
-                        old, new = label[j], label[i]
-                        label = [new if v == old else v for v in label]
-            # Each point's root: the smallest index in its component.
-            return [label.index(label[i]) for i in range(n)]
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            linked = [(i, j) for i, j in pairs if (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 < gap2]
+            roots = self.relabel_roots(n, linked)
+            return np.unique(roots, return_inverse=True)[1].tolist()
 
-        assert _components(np.array([0.0, 2.0 - 1e-12]), np.zeros(2), 4.0).tolist() == [0, 0]
-        assert _components(np.array([2.0, 0.0]), np.zeros(2), 4.0).tolist() == [0, 1]
+        assert cluster_labels([(0, 0.0, 0.0, 0.5), (1, 2.0 - 1e-12, 0.0, 0.5)]) == [0, 0]
+        assert cluster_labels([(0, 2.0, 0.0, 0.5), (1, 0.0, 0.0, 0.5)]) == [0, 1]
         rng = np.random.default_rng(83)
         for _ in range(300):
             n = int(rng.integers(0, 40))
@@ -143,7 +162,8 @@ class TestClusterBoxes:
             else:
                 xs, ys = rng.uniform(-10, 10, n), rng.uniform(-10, 10, n)
             for gap in (1.0, 1.5, 2.0):
-                assert _components(xs, ys, gap * gap).tolist() == all_pairs(xs, ys, gap * gap)
+                got = _cluster_labels(xs, ys, np.arange(n), np.full(n, 0.5), gap).tolist()
+                assert got == all_pairs(xs, ys, gap * gap)
 
     def test_rejects_bad_gap(self):
         with pytest.raises(ValueError, match="center_gap"):
